@@ -13,6 +13,8 @@ preference distribution (exactly, when the design has full column rank).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,12 +28,19 @@ from .core import (
     enumerate_sets,
 )
 from .errors import SolverError, ValidationError
-from .sampler import SamplerConfig, sample_attention_rule
+from .sampler import SamplerConfig, child_seeds, sample_attention_rule
 from .solvers import constrained_lstsq, constrained_lstsq_batch
-from .transform import ChoiceTransform, build_choice_transform, design_matrix_batch
+from .transform import (
+    ChoiceTransform,
+    build_choice_transform,
+    design_matrix,
+    design_matrix_batch,
+)
 
-#: Rules are sampled and solved in chunks of this many at a time.
-CHUNK = 512
+#: Rules are sampled and solved in chunks of this many at a time.  The
+#: batched solver's per-iteration overhead dominates on small problems, so
+#: fewer, larger chunks are faster; this size solves a 1,000-rule pool at once.
+CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -81,16 +90,79 @@ def solve_p(
     minimizer and the minimized squared distance.
 
     Raises:
+        ValidationError: the rule, transform and dataset do not fit together.
         SolverError: the KKT residual did not reach ``kkt_tol``; the error
             carries the best iterate found.
     """
     if pi.d_t != rule.d_t or pi.n != transform.menu.n:
         raise ValidationError("dataset shape does not match rule/transform")
-    m = design_matrix_batch(rule.blocks()[None], transform)[0]
+    m = design_matrix(rule, transform)
     result = constrained_lstsq(
         m, pi.vec(), kkt_tol=kkt_tol, max_iter=max_iter
     )
     return PreferenceDistribution(result.p), float(result.objective)
+
+
+class _Pool(NamedTuple):
+    objectives: NDArray[np.float64]
+    best_index: int
+    best_p: NDArray[np.float64]
+    best_rule: AttentionRule
+
+
+def _score_pool(
+    pi: ChoiceDataset,
+    transform: ChoiceTransform,
+    k: int,
+    sampler_config: SamplerConfig,
+    *,
+    extra_rules: tuple[AttentionRule, ...] = (),
+    weights: NDArray[np.float64] | None = None,
+    lower: float = 0.0,
+    sum_constraint: bool = True,
+    kkt_tol: float = 1e-8,
+    max_iter: int = 50_000,
+) -> _Pool:
+    """Draw ``k`` rules, append ``extra_rules`` and fit every one to ``pi``.
+
+    Draw i is sampled from child i of the sampler seed, so it depends only
+    on the seed and i.  Each draw is scored by the (weighted) constrained
+    least-squares objective; a draw whose KKT residual stays above
+    ``kkt_tol`` scores ``inf`` and can never win.  Ties go to the earliest
+    draw.
+
+    Raises:
+        ValidationError: ``k`` is below one.
+        SolverError: no draw converged.
+    """
+    if k < 1:
+        raise ValidationError("need at least one simulation")
+    menu, orderings = transform.menu, transform.orderings
+    rules = chain(
+        (
+            sample_attention_rule(menu, orderings, replace(sampler_config, seed=s))
+            for s in child_seeds(sampler_config.seed, k)
+        ),
+        extra_rules,
+    )
+    b = pi.vec()
+    objectives = np.full(k + len(extra_rules), np.inf)
+    best_obj, best_index, best_p, best_rule = np.inf, -1, None, None
+    for start in range(0, objectives.size, CHUNK):
+        chunk = list(islice(rules, CHUNK))
+        ms = design_matrix_batch(np.stack([r.blocks() for r in chunk]), transform)
+        p, obj, res = constrained_lstsq_batch(
+            ms, b, weights=weights, lower=lower, sum_constraint=sum_constraint,
+            kkt_tol=kkt_tol, max_iter=max_iter,
+        )
+        obj = np.where(res <= kkt_tol, obj, np.inf)
+        objectives[start : start + len(chunk)] = obj
+        j = int(np.argmin(obj))
+        if obj[j] < best_obj:
+            best_obj, best_index, best_p, best_rule = obj[j], start + j, p[j], chunk[j]
+    if best_rule is None:
+        raise SolverError("every simulated rule failed to solve")
+    return _Pool(objectives, best_index, best_p, best_rule)
 
 
 def estimate(
@@ -114,8 +186,6 @@ def estimate(
     candidates.  A draw whose solve fails is recorded and skipped; only a
     fully failed pool raises.
     """
-    if k < 1:
-        raise ValidationError("need at least one simulation")
     if sampler_config.d_t != pi.d_t:
         raise ValidationError(
             f"sampler is configured for {sampler_config.d_t} periods, "
@@ -123,56 +193,6 @@ def estimate(
         )
     enum = enumerate_sets(menu, outside_mode=sampler_config.outside_mode)
     transform = build_choice_transform(menu, enum, orderings)
-    b = pi.vec()
-
-    root = (
-        sampler_config.seed
-        if isinstance(sampler_config.seed, np.random.SeedSequence)
-        else np.random.SeedSequence(sampler_config.seed)
-    )
-    children = root.spawn(k)
-    total = k + len(extra_rules)
-    distances = np.full(total, np.inf)
-    failed: list[int] = []
-    best_idx = -1
-    best_dist = np.inf
-    best_p: NDArray | None = None
-    best_rule: AttentionRule | None = None
-
-    def consume(indices, rules):
-        nonlocal best_idx, best_dist, best_p, best_rule
-        blocks = np.stack([r.blocks() for r in rules])
-        ms = design_matrix_batch(blocks, transform)
-        try:
-            p_hat, obj, res = constrained_lstsq_batch(
-                ms, b, kkt_tol=kkt_tol, max_iter=max_iter
-            )
-        except Exception:
-            # Degenerate chunk: retry one by one so a single bad draw
-            # cannot take down the run.
-            for idx, rule in zip(indices, rules):
-                try:
-                    p_one, d_one = solve_p(
-                        rule, transform, pi, kkt_tol=kkt_tol, max_iter=max_iter
-                    )
-                except (SolverError, FloatingPointError):
-                    failed.append(idx)
-                    continue
-                distances[idx] = d_one
-                if d_one < best_dist:
-                    best_idx, best_dist = idx, d_one
-                    best_p, best_rule = p_one.p, rule
-            return
-        ok = res <= kkt_tol
-        for j, idx in enumerate(indices):
-            if not ok[j]:
-                failed.append(idx)
-                continue
-            distances[idx] = obj[j]
-            if obj[j] < best_dist:
-                best_idx, best_dist = idx, float(obj[j])
-                best_p, best_rule = p_hat[j], rules[j]
-
     for rule in extra_rules:
         if rule.set_index.masks != enum.masks:
             raise ValidationError(
@@ -180,34 +200,20 @@ def estimate(
             )
         if rule.d_pref != orderings.d_pref or rule.d_t != pi.d_t:
             raise ValidationError("an injected rule has incompatible shape")
-
-    pending_idx: list[int] = []
-    pending_rules: list[AttentionRule] = []
-    for i in range(k):
-        cfg = replace(sampler_config, seed=children[i])
-        pending_idx.append(i)
-        pending_rules.append(sample_attention_rule(menu, orderings, cfg))
-        if len(pending_idx) == CHUNK:
-            consume(pending_idx, pending_rules)
-            pending_idx, pending_rules = [], []
-    for j, rule in enumerate(extra_rules):
-        pending_idx.append(k + j)
-        pending_rules.append(rule)
-    if pending_idx:
-        consume(pending_idx, pending_rules)
-
-    if best_rule is None:
-        raise SolverError("every simulated rule failed to solve")
+    pool = _score_pool(
+        pi, transform, k, sampler_config,
+        extra_rules=extra_rules, kkt_tol=kkt_tol, max_iter=max_iter,
+    )
     seed_echo = (
         sampler_config.seed if isinstance(sampler_config.seed, int) else None
     )
     return EstimationResult(
-        best_rule=best_rule,
-        best_p=PreferenceDistribution(best_p),
-        best_distance=float(best_dist),
-        best_index=int(best_idx),
-        per_sim_distances=distances,
+        best_rule=pool.best_rule,
+        best_p=PreferenceDistribution(pool.best_p),
+        best_distance=float(pool.objectives[pool.best_index]),
+        best_index=pool.best_index,
+        per_sim_distances=pool.objectives,
         n_sims=k,
         seed=seed_echo,
-        failed_indices=tuple(failed),
+        failed_indices=tuple(np.flatnonzero(np.isinf(pool.objectives)).tolist()),
     )

@@ -20,13 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from dataclasses import replace as _replace
-
 from .core import AttentionRule, ChoiceDataset, Menu, OrderingSet, PreferenceDistribution, enumerate_sets
 from .errors import ConfigurationError, ValidationError
-from .sampler import sample_attention_rule
+from .estimator import _score_pool
 from .solvers import constrained_lstsq_batch
-from .transform import ChoiceTransform, build_choice_transform, design_matrix, design_matrix_batch
+from .transform import ChoiceTransform, build_choice_transform, design_matrix
+
+# Not called here; bench/tracing.py looks both names up in this module.
+from .sampler import sample_attention_rule  # noqa: F401
+from .transform import design_matrix_batch  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,9 @@ def fit_test_rule(
     shrinkage bound).  Selecting by the unweighted fit instead routinely
     hands the test a rule that is fine on high-variance cells but poor on
     precisely measured ones, which drives the statistic up and makes the
-    test reject data the pool could in fact explain.
+    test reject data the pool could in fact explain.  A draw whose solve
+    does not converge is skipped; only a fully failed pool raises
+    :class:`~timedchoice.errors.SolverError`.
     """
     if sampler_config.d_t != pi.d_t:
         raise ValidationError("sampler periods do not match the dataset")
@@ -214,35 +218,11 @@ def fit_test_rule(
     weights = variance_weights(pi, floor=config.weight_floor)
     d = orderings.d_pref
     tau = config.tau_n if config.tau_n is not None else default_tau(d, pi.total_count)
-    b = pi.vec()
-
-    root = (
-        sampler_config.seed
-        if isinstance(sampler_config.seed, np.random.SeedSequence)
-        else np.random.SeedSequence(sampler_config.seed)
+    pool = _score_pool(
+        pi, transform, n_sims, sampler_config,
+        weights=weights.inverse, lower=tau / d, sum_constraint=config.simplex_sum,
     )
-    children = root.spawn(n_sims)
-    best_obj, best_rule = np.inf, None
-    chunk = 1024
-    for start in range(0, n_sims, chunk):
-        rules = [
-            sample_attention_rule(menu, orderings, _replace(sampler_config, seed=c))
-            for c in children[start : start + chunk]
-        ]
-        blocks = np.stack([r.blocks() for r in rules])
-        ms = design_matrix_batch(blocks, transform)
-        _, obj, _ = constrained_lstsq_batch(
-            ms,
-            b,
-            weights=weights.inverse,
-            lower=tau / d,
-            total=1.0,
-            sum_constraint=config.simplex_sum,
-        )
-        k = int(np.argmin(obj))
-        if obj[k] < best_obj:
-            best_obj, best_rule = float(obj[k]), rules[k]
-    return best_rule, transform
+    return pool.best_rule, transform
 
 
 def bootstrap_test(

@@ -15,9 +15,12 @@ whose feasible step interval collapses to zero are redrawn a bounded
 number of times; rows that still cannot move (typical when many
 coordinates sit on the boundary) take a guaranteed-feasible fallback
 that shifts mass from each loaded set onto a few of its strict
-supersets, which is always a monotone move.  A literal rejection scheme
-that samples raw directions and keeps only sign-compatible ones is
-available for comparison.
+supersets, which is always a monotone move.
+
+A pool of rules draws rule ``i`` from child ``i`` of the configured seed
+(see :func:`child_seeds`), so a pool is reproducible for integer and
+:class:`numpy.random.SeedSequence` seeds alike and a larger pool extends a
+smaller one without changing its draws.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ from .errors import ConfigurationError, ValidationError
 #: Step intervals shorter than this count as degenerate.
 GAMMA_FLOOR = 1e-12
 
+#: Constructive redraws allowed before the superset-spread fallback kicks in.
+#: Draws only fail on rows with boundary coordinates, so a small budget suffices.
+MAX_DIRECTION_RETRIES = 8
+
 #: Superset-spread moves feed at most this many target sets per donor.
 FALLBACK_MAX_TARGETS = 3
 
@@ -60,32 +67,16 @@ class SamplerConfig:
             simplex over sets (a deterministic function of the seed).
         initial_row: optional explicit starting row over the enumeration
             (overrides the mode default for every block).
-        gamma_draw: distribution of the step size on its feasible interval
-            (only ``"uniform"`` is implemented).
-        direction_scheme: ``"moebius-constructive"`` (default) or
-            ``"paper-rejection"``, the literal resample-until-signed scheme.
-        max_direction_retries: redraws allowed before the superset-spread
-            fallback kicks in.  Draws only fail on rows with boundary
-            coordinates, so a small budget suffices.
     """
 
     d_t: int
     seed: int | np.random.SeedSequence | None = None
     outside_mode: bool = True
     initial_row: NDArray[np.float64] | None = None
-    gamma_draw: str = "uniform"
-    direction_scheme: str = "moebius-constructive"
-    max_direction_retries: int = 8
 
     def __post_init__(self):
         if self.d_t < 1:
             raise ConfigurationError("d_t must be at least 1")
-        if self.gamma_draw != "uniform":
-            raise ConfigurationError(f"unknown gamma_draw {self.gamma_draw!r}")
-        if self.direction_scheme not in ("moebius-constructive", "paper-rejection"):
-            raise ConfigurationError(
-                f"unknown direction_scheme {self.direction_scheme!r}"
-            )
         if self.initial_row is not None:
             row = np.asarray(self.initial_row, dtype=np.float64)
             if row.ndim != 1 or np.any(row < 0) or abs(row.sum() - 1.0) > 1e-9:
@@ -196,22 +187,12 @@ def _superset_transfer(states, enum, rng, stuck):
     return direction, gmax
 
 
-def _draw_directions(states, enum, rng, scheme):
+def _draw_directions(states, enum, rng):
     """Candidate directions and their feasible step bounds for each row."""
     b, d_c = states.shape
-    if scheme == "moebius-constructive":
-        psi = -np.abs(rng.normal(size=(b, d_c)))
-        psi[:, enum.full_index] = 0.0
-        xi = moebius_inverse(psi, enum)
-    else:  # paper-rejection: raw directions, keep sign-compatible ones
-        xi = rng.normal(size=(b, d_c))
-        xi -= xi.mean(axis=1, keepdims=True)
-        psi = zeta_transform(xi, enum)
-        psi_proper = np.delete(psi, enum.full_index, axis=1)
-        all_neg = np.all(psi_proper <= 1e-12, axis=1)
-        all_pos = np.all(psi_proper >= -1e-12, axis=1)
-        xi[all_pos & ~all_neg] *= -1.0
-        xi[~(all_neg | all_pos)] = 0.0
+    psi = -np.abs(rng.normal(size=(b, d_c)))
+    psi[:, enum.full_index] = 0.0
+    xi = moebius_inverse(psi, enum)
     neg = xi < -GAMMA_FLOOR
     pos = xi > GAMMA_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -222,7 +203,7 @@ def _draw_directions(states, enum, rng, scheme):
     return xi, gmax
 
 
-def _step_rows(states, enum, config, rng):
+def _step_rows(states, enum, rng):
     """Advance a stack of rows one period; returns (rows, gammas, degenerate)."""
     b, d_c = states.shape
     xi = np.zeros((b, d_c))
@@ -232,12 +213,10 @@ def _step_rows(states, enum, config, rng):
     # to the superset-spread move.
     zeros = (states <= GAMMA_FLOOR).sum(axis=1)
     pending = np.nonzero(zeros <= 2)[0]
-    for _ in range(config.max_direction_retries):
+    for _ in range(MAX_DIRECTION_RETRIES):
         if pending.size == 0:
             break
-        cand_xi, cand_g = _draw_directions(
-            states[pending], enum, rng, config.direction_scheme
-        )
+        cand_xi, cand_g = _draw_directions(states[pending], enum, rng)
         ok = cand_g > GAMMA_FLOOR
         take = pending[ok]
         xi[take] = cand_xi[ok]
@@ -293,7 +272,7 @@ def step(
         gamma = float(rng.uniform()) * gmax
         new = np.clip(states + gamma * xi, 0.0, 1.0)
         return StepResult(new[0], gamma, gmax <= GAMMA_FLOOR)
-    new, gamma, degen = _step_rows(states, enum, config, rng)
+    new, gamma, degen = _step_rows(states, enum, rng)
     return StepResult(new[0], float(gamma[0]), bool(degen[0]))
 
 
@@ -336,10 +315,28 @@ def sample_attention_rule(
     states = _initial_states(menu, enum, config, d_pref, rng)
     rows = [states]
     for _ in range(config.d_t - 1):
-        states, _, _ = _step_rows(states, enum, config, rng)
+        states, _, _ = _step_rows(states, enum, rng)
         rows.append(states)
     u = np.stack(rows, axis=0).reshape(config.d_t, d_pref * enum.d_c)
     return AttentionRule(u=u, set_index=enum, d_pref=d_pref)
+
+
+def child_seeds(seed: int | np.random.SeedSequence | None, count: int):
+    """Yield the first ``count`` child seeds of ``seed`` without spawning.
+
+    Child ``i`` equals ``root.spawn(count)[i]`` for ``root`` the seed's
+    :class:`~numpy.random.SeedSequence` as passed in, but ``root`` is left
+    untouched (``spawn`` would advance it), so every call with the same
+    seed yields the same children.
+    """
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    first = root.n_children_spawned
+    for i in range(count):
+        yield np.random.SeedSequence(
+            root.entropy,
+            spawn_key=root.spawn_key + (first + i,),
+            pool_size=root.pool_size,
+        )
 
 
 def sample_attention_rules(
@@ -350,6 +347,5 @@ def sample_attention_rules(
     Rule ``i`` depends only on ``config.seed`` and ``i``, so enlarging
     ``count`` extends the sequence without changing earlier draws.
     """
-    children = np.random.SeedSequence(config.seed).spawn(count)
-    for child in children:
+    for child in child_seeds(config.seed, count):
         yield sample_attention_rule(menu, orderings, replace(config, seed=child))

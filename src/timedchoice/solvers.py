@@ -122,7 +122,7 @@ def _fista(G, h, r0, total, *, sum_constraint, max_iter, tol):
     return r, it
 
 
-def _polish_one(G, h, r, *, total, sum_constraint, tol):
+def _polish_one(G, h, r, *, total, sum_constraint):
     """Exact active-set refinement of a single problem in Gram form."""
     d = h.shape[0]
     support = r > max(SUPPORT_TOL, 1e-9 * max(r.max(), 1.0))
@@ -177,8 +177,6 @@ def constrained_lstsq_batch(
     sum_constraint: bool = True,
     max_iter: int = 50_000,
     kkt_tol: float = 1e-8,
-    fista_iters: int | None = None,
-    polish: bool = True,
 ) -> tuple[NDArray, NDArray, NDArray]:
     """Solve a batch of bound/simplex-constrained least-squares problems.
 
@@ -193,9 +191,6 @@ def constrained_lstsq_batch(
             ``p >= lower``.
         max_iter: accelerated-gradient iteration cap.
         kkt_tol: target normalized KKT residual.
-        fista_iters: optional explicit iteration budget before refinement
-            (defaults to an internal schedule).
-        polish: run the exact active-set refinement after the gradient pass.
 
     Returns:
         (p, objective, kkt_res): arrays of shape (k, d), (k,), (k,).
@@ -238,16 +233,12 @@ def constrained_lstsq_batch(
     c = (b - shift) / max(scale, 1e-300)
     G, h = _grams(M, c, w)
     r0 = np.full((k, d), (1.0 / d) if sum_constraint else 0.0)
-    budget = fista_iters if fista_iters is not None else min(max_iter, 400)
     r, it = _fista(
-        G, h, r0, 1.0, sum_constraint=sum_constraint, max_iter=budget, tol=kkt_tol
+        G, h, r0, 1.0, sum_constraint=sum_constraint, max_iter=min(max_iter, 400),
+        tol=kkt_tol,
     )
-    if polish:
-        for i in range(k):
-            r[i] = _polish_one(
-                G[i], h[i], r[i], total=1.0, sum_constraint=sum_constraint,
-                tol=kkt_tol,
-            )
+    for i in range(k):
+        r[i] = _polish_one(G[i], h[i], r[i], total=1.0, sum_constraint=sum_constraint)
     res = kkt_residual(G, h, r, sum_constraint=sum_constraint)
     # A second, longer gradient pass for any stragglers.
     bad = res > kkt_tol
@@ -257,12 +248,8 @@ def constrained_lstsq_batch(
             sum_constraint=sum_constraint, max_iter=max_iter - it, tol=kkt_tol,
         )
         r[bad] = r_bad
-        if polish:
-            for j, i in enumerate(np.nonzero(bad)[0]):
-                r[i] = _polish_one(
-                    G[i], h[i], r[i], total=1.0,
-                    sum_constraint=sum_constraint, tol=kkt_tol,
-                )
+        for i in np.nonzero(bad)[0]:
+            r[i] = _polish_one(G[i], h[i], r[i], total=1.0, sum_constraint=sum_constraint)
         res = kkt_residual(G, h, r, sum_constraint=sum_constraint)
 
     p = lower + scale * r

@@ -34,21 +34,32 @@ class ChoiceTransform:
     """0/1 matrix mapping (preference, consideration set) pairs to choices.
 
     Attributes:
-        a: (d_pref * d_c, n * d_pref) matrix.  Rows are preference-major,
-            then set (matching attention-rule columns).  Column
-            ``item * d_pref + pref`` is one exactly when ``item`` is the
-            best member of the row's set under the row's preference and the
-            column's preference equals the row's.  Every row has a single
-            one: each (preference, set) pair determines one choice.
-        best: (d_pref, d_c) matrix of chosen item indices, a compact
-            equivalent of ``a`` used on hot paths.
+        best: (d_pref, d_c) matrix of chosen item indices, the compact form
+            of the transform that every computation reads; the dense matrix
+            is only built on request (see :attr:`a`).
     """
 
-    a: NDArray[np.float64]
     best: NDArray[np.int64]
     menu: Menu
     sets: SetEnumeration
     orderings: OrderingSet
+
+    @property
+    def a(self) -> NDArray[np.float64]:
+        """Dense (d_pref * d_c, n * d_pref) 0/1 matrix, built on each access.
+
+        Rows are preference-major, then set (matching attention-rule
+        columns).  Column ``item * d_pref + pref`` is one exactly when
+        ``item`` is the best member of the row's set under the row's
+        preference and the column's preference equals the row's.  Every row
+        has a single one: each (preference, set) pair determines one choice.
+        """
+        d_pref, d_c = self.best.shape
+        out = np.zeros((d_pref * d_c, self.menu.n * d_pref))
+        rows = np.arange(d_pref * d_c)
+        out[rows, (self.best * d_pref + np.arange(d_pref)[:, None]).ravel()] = 1.0
+        out.setflags(write=False)
+        return out
 
     @property
     def d_pref(self) -> int:
@@ -76,18 +87,12 @@ def build_choice_transform(
         raise ValidationError("orderings do not match the menu size")
     if sets.menu != menu:
         raise ValidationError("set enumeration was built for a different menu")
-    d_pref, d_c, n = orderings.d_pref, sets.d_c, menu.n
-    best = np.empty((d_pref, d_c), dtype=np.int64)
+    best = np.empty((orderings.d_pref, sets.d_c), dtype=np.int64)
     for i, ordering in enumerate(orderings):
         for j, mask in enumerate(sets.masks):
             best[i, j] = best_in(ordering, ConsiderationSet(mask))
-    a = np.zeros((d_pref * d_c, n * d_pref))
-    for i in range(d_pref):
-        rows = np.arange(d_c) + i * d_c
-        a[rows, best[i] * d_pref + i] = 1.0
-    a.setflags(write=False)
     best.setflags(write=False)
-    return ChoiceTransform(a=a, best=best, menu=menu, sets=sets, orderings=orderings)
+    return ChoiceTransform(best=best, menu=menu, sets=sets, orderings=orderings)
 
 
 def block_diag(p: PreferenceDistribution, n: int) -> NDArray[np.float64]:
@@ -163,5 +168,4 @@ def conditional_choice_matrix(
     Shape (d_t, n * d_pref) with columns item-major then preference,
     equal to the attention matrix times the choice transform.
     """
-    _check_compatible(rule, transform)
-    return rule.u @ transform.a
+    return design_matrix(rule, transform).reshape(rule.d_t, -1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import timedchoice as tc
+import timedchoice.estimator as est
 from timedchoice.errors import SolverError, ValidationError
 
 from conftest import random_attention_rule
@@ -80,6 +81,14 @@ class TestSolveP:
         with pytest.raises(ValidationError):
             tc.solve_p(rule, transform, short)
 
+    def test_preference_block_mismatch(self, recovery_setup, menu3):
+        transform, _, _, pi = recovery_setup
+        two_blocks = random_attention_rule(
+            tc.enumerate_sets(menu3), 2, 4, np.random.default_rng(0)
+        )
+        with pytest.raises(ValidationError):
+            tc.solve_p(two_blocks, transform, pi)
+
 
 class TestEstimate:
     def test_k1_equals_solve_p_on_the_sampled_rule(self, menu3, orderings3):
@@ -129,51 +138,51 @@ class TestEstimate:
         with pytest.raises(ValidationError):
             tc.estimate(pi, menu3, orderings3, 2, config, extra_rules=(wrong,))
 
-    def test_one_failed_simulation_is_skipped(self, menu3, orderings3, monkeypatch):
+    def test_one_unconverged_draw_is_skipped(self, menu3, orderings3, monkeypatch):
         pi = tc.ChoiceDataset(pi=np.random.default_rng(4).dirichlet(np.ones(3), size=3))
         config = tc.SamplerConfig(d_t=3, seed=11, outside_mode=False)
-        import timedchoice.estimator as est
-
         real_batch = est.constrained_lstsq_batch
-        real_solve = est.solve_p
-        monkeypatch.setattr(
-            est,
-            "constrained_lstsq_batch",
-            lambda *a, **k: (_ for _ in ()).throw(FloatingPointError("synthetic")),
-        )
-        calls = {"n": 0}
 
-        def solve_first_fails(rule, transform, data, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise SolverError("synthetic", iterate=None, residual=1.0)
-            return real_solve(rule, transform, data, **kwargs)
+        def first_draw_unconverged(*args, **kwargs):
+            p, obj, res = real_batch(*args, **kwargs)
+            res = res.copy()
+            res[0] = 1.0
+            return p, obj, res
 
-        monkeypatch.setattr(est, "solve_p", solve_first_fails)
+        monkeypatch.setattr(est, "constrained_lstsq_batch", first_draw_unconverged)
         result = tc.estimate(pi, menu3, orderings3, 4, config)
         assert result.failed_indices == (0,)
         assert np.isinf(result.per_sim_distances[0])
+        assert np.all(np.isfinite(result.per_sim_distances[1:]))
+        assert result.best_index != 0
         assert np.isfinite(result.best_distance)
 
-    def test_all_failed_simulations_raise(self, menu3, orderings3, monkeypatch):
+    def test_all_unconverged_draws_raise(self, menu3, orderings3, monkeypatch):
         pi = tc.ChoiceDataset(pi=np.random.default_rng(4).dirichlet(np.ones(3), size=3))
         config = tc.SamplerConfig(d_t=3, seed=11, outside_mode=False)
-        import timedchoice.estimator as est
+        real_batch = est.constrained_lstsq_batch
 
-        monkeypatch.setattr(
-            est,
-            "constrained_lstsq_batch",
-            lambda *a, **k: (_ for _ in ()).throw(FloatingPointError("synthetic")),
-        )
-        monkeypatch.setattr(
-            est,
-            "solve_p",
-            lambda *a, **k: (_ for _ in ()).throw(
-                SolverError("synthetic", iterate=None, residual=1.0)
-            ),
-        )
+        def never_converged(*args, **kwargs):
+            p, obj, _ = real_batch(*args, **kwargs)
+            return p, obj, np.ones_like(obj)
+
+        monkeypatch.setattr(est, "constrained_lstsq_batch", never_converged)
         with pytest.raises(SolverError):
             tc.estimate(pi, menu3, orderings3, 3, config)
+
+    def test_seed_sequence_seed_is_reproducible(self, menu3, orderings3):
+        pi = tc.ChoiceDataset(pi=np.random.default_rng(2).dirichlet(np.ones(3), size=3))
+        seed = np.random.SeedSequence(42)
+        config = tc.SamplerConfig(d_t=3, seed=seed, outside_mode=False)
+        a = tc.estimate(pi, menu3, orderings3, 12, config)
+        b = tc.estimate(pi, menu3, orderings3, 12, config)
+        as_int = tc.estimate(
+            pi, menu3, orderings3, 12, tc.SamplerConfig(d_t=3, seed=42, outside_mode=False)
+        )
+        assert seed.n_children_spawned == 0
+        np.testing.assert_array_equal(a.per_sim_distances, b.per_sim_distances)
+        np.testing.assert_array_equal(a.per_sim_distances, as_int.per_sim_distances)
+        assert a.best_distance == b.best_distance
 
     def test_needs_at_least_one_simulation(self, menu3, orderings3):
         pi = tc.ChoiceDataset(pi=np.random.default_rng(0).dirichlet(np.ones(3), size=3))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import timedchoice as tc
-from timedchoice.errors import ConfigurationError, ValidationError
+import timedchoice.estimator as est
+from timedchoice.errors import ConfigurationError, SolverError, ValidationError
 
 from conftest import random_attention_rule
 
@@ -242,3 +243,56 @@ class TestFitTestRule:
         assert rule.d_pref == 6 and tr2.menu == menu3
         res = tc.bootstrap_test(pi, rule, tr2, tc.TestConfig(n_boot=99, seed=1))
         assert np.isfinite(res.statistic)
+
+    def test_seed_sequence_seed_is_reproducible(self, setup3, menu3, orderings3):
+        _, transform, truth = setup3
+        pi = sampled_dataset(
+            truth, transform, tc.PreferenceDistribution.uniform(6), (400,) * 3, 5
+        )
+        seed = np.random.SeedSequence(42)
+        config = tc.SamplerConfig(d_t=3, seed=seed, outside_mode=False)
+        a, _ = tc.fit_test_rule(pi, menu3, orderings3, 12, config)
+        b, _ = tc.fit_test_rule(pi, menu3, orderings3, 12, config)
+        assert seed.n_children_spawned == 0
+        np.testing.assert_array_equal(a.u, b.u)
+
+    def test_unconverged_draws_are_never_selected(self, menu3, orderings3, monkeypatch):
+        truth = tc.sample_attention_rule(
+            menu3, orderings3, tc.SamplerConfig(d_t=3, seed=2, outside_mode=False)
+        )
+        transform = tc.build_choice_transform(menu3, tc.enumerate_sets(menu3), orderings3)
+        pi = sampled_dataset(
+            truth, transform, tc.PreferenceDistribution.uniform(6), (400,) * 3, 8
+        )
+        config = tc.SamplerConfig(d_t=3, seed=3, outside_mode=False)
+        k = 16
+        real_batch = est.constrained_lstsq_batch
+
+        def only_last_converges(*args, **kwargs):
+            p, obj, res = real_batch(*args, **kwargs)
+            res = np.ones_like(res)
+            res[-1] = 0.0
+            return p, obj, res
+
+        monkeypatch.setattr(est, "constrained_lstsq_batch", only_last_converges)
+        rule, _ = tc.fit_test_rule(pi, menu3, orderings3, k, config, tc.TestConfig())
+        last = list(tc.sample_attention_rules(menu3, orderings3, config, k))[-1]
+        np.testing.assert_array_equal(rule.u, last.u)
+
+    def test_all_unconverged_draws_raise(self, menu3, orderings3, monkeypatch):
+        pi = tc.ChoiceDataset(
+            pi=np.random.default_rng(4).dirichlet(np.ones(3), size=3),
+            period_counts=(200,) * 3,
+        )
+        real_batch = est.constrained_lstsq_batch
+
+        def never_converged(*args, **kwargs):
+            p, obj, _ = real_batch(*args, **kwargs)
+            return p, obj, np.ones_like(obj)
+
+        monkeypatch.setattr(est, "constrained_lstsq_batch", never_converged)
+        with pytest.raises(SolverError):
+            tc.fit_test_rule(
+                pi, menu3, orderings3, 4,
+                tc.SamplerConfig(d_t=3, seed=0, outside_mode=False),
+            )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,21 @@ class TestChoiceTransform:
                 row = i * enum.d_c + j
                 assert transform.a[row, best * orderings.d_pref + i] == 1.0
                 assert transform.best[i, j] == best
+
+    def test_build_allocates_no_dense_matrix(self):
+        # The dense form for 6 items and all 720 orderings is 45,360 x 4,320
+        # float64 (about 1.5 GB); building the transform must not create it.
+        menu = tc.Menu(items=tuple("abcdef"))
+        enum = tc.enumerate_sets(menu, outside_mode=False)
+        orderings = tc.all_orderings(6)
+        tracemalloc.start()
+        try:
+            transform = tc.build_choice_transform(menu, enum, orderings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert transform.best.shape == (720, 63)
+        assert peak < 50 * 2**20
 
 
 class TestBlockDiag:
@@ -211,6 +228,7 @@ class TestConditionalChoiceMatrix:
         rule = random_attention_rule(enum, 6, 3, np.random.default_rng(8))
         cond = tc.conditional_choice_matrix(rule, transform)
         assert cond.shape == (3, 18)
+        np.testing.assert_allclose(cond, rule.u @ transform.a, rtol=0, atol=1e-15)
         # Column item*d_pref + i holds preference-i's probability of the item.
         for i in range(6):
             block = cond[:, [j * 6 + i for j in range(3)]]
