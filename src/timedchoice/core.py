@@ -160,13 +160,15 @@ class SetEnumeration:
         return out
 
 
+@lru_cache(maxsize=128)
 def enumerate_sets(menu: Menu, outside_mode: bool = False) -> SetEnumeration:
     """Enumerate the admissible consideration sets of ``menu``.
 
     Without an outside option every nonempty subset is admissible
     (``2**n - 1`` sets).  In outside mode the outside item is treated as
     always considered, so only the ``2**(n-1)`` subsets containing it are
-    enumerated.
+    enumerated.  Results are memoized per ``(menu, outside_mode)``; the
+    enumeration is immutable, so callers share one instance.
 
     Raises:
         ConfigurationError: outside mode requested on a menu without an

@@ -12,8 +12,8 @@ preference distribution (exactly, when the design has full column rank).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import chain, islice
+from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +28,7 @@ from .core import (
     enumerate_sets,
 )
 from .errors import SolverError, ValidationError
-from .sampler import SamplerConfig, child_seeds, sample_attention_rule
+from .sampler import SamplerConfig, _rule_blocks, child_seeds
 from .solvers import constrained_lstsq, constrained_lstsq_batch
 from .transform import (
     ChoiceTransform,
@@ -36,6 +36,9 @@ from .transform import (
     design_matrix,
     design_matrix_batch,
 )
+
+# Not called here; bench/tracing.py looks it up in this module.
+from .sampler import sample_attention_rule  # noqa: F401
 
 #: Rules are sampled and solved in chunks of this many at a time.  The
 #: batched solver's per-iteration overhead dominates on small problems, so
@@ -137,29 +140,36 @@ def _score_pool(
     """
     if k < 1:
         raise ValidationError("need at least one simulation")
-    menu, orderings = transform.menu, transform.orderings
-    rules = chain(
-        (
-            sample_attention_rule(menu, orderings, replace(sampler_config, seed=s))
-            for s in child_seeds(sampler_config.seed, k)
-        ),
-        extra_rules,
-    )
+    enum, d_pref, d_t = transform.sets, transform.d_pref, sampler_config.d_t
+    seeds = child_seeds(sampler_config.seed, k)
     b = pi.vec()
-    objectives = np.full(k + len(extra_rules), np.inf)
+    n = k + len(extra_rules)
+    objectives = np.full(n, np.inf)
     best_obj, best_index, best_p, best_rule = np.inf, -1, None, None
-    for start in range(0, objectives.size, CHUNK):
-        chunk = list(islice(rules, CHUNK))
-        ms = design_matrix_batch(np.stack([r.blocks() for r in chunk]), transform)
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        blocks = np.empty((stop - start, d_t, d_pref, enum.d_c))
+        i = 0
+        for drawn in _rule_blocks(enum, d_pref, sampler_config, islice(seeds, CHUNK)):
+            blocks[i : i + len(drawn)] = drawn
+            i += len(drawn)
+        for rule in extra_rules[max(start - k, 0) : max(stop - k, 0)]:
+            blocks[i] = rule.blocks()
+            i += 1
+        ms = design_matrix_batch(blocks, transform)
         p, obj, res = constrained_lstsq_batch(
             ms, b, weights=weights, lower=lower, sum_constraint=sum_constraint,
             kkt_tol=kkt_tol, max_iter=max_iter,
         )
         obj = np.where(res <= kkt_tol, obj, np.inf)
-        objectives[start : start + len(chunk)] = obj
+        objectives[start:stop] = obj
         j = int(np.argmin(obj))
         if obj[j] < best_obj:
-            best_obj, best_index, best_p, best_rule = obj[j], start + j, p[j], chunk[j]
+            best_obj, best_index, best_p = obj[j], start + j, p[j]
+            best_rule = (
+                extra_rules[best_index - k] if best_index >= k
+                else AttentionRule(u=blocks[j].reshape(d_t, -1), set_index=enum, d_pref=d_pref)
+            )
     if best_rule is None:
         raise SolverError("every simulated rule failed to solve")
     return _Pool(objectives, best_index, best_p, best_rule)

@@ -156,7 +156,12 @@ def test_statistic(
     Raises:
         ConfigurationError: infeasible shrinkage (``tau_n > 1 / d_pref``).
     """
-    d = transform.d_pref
+    return _statistic(pi, design_matrix(rule, transform), weights, tau_n, n_total, simplex_sum)
+
+
+def _statistic(pi, m, weights, tau_n, n_total, simplex_sum):
+    """:func:`test_statistic` on the rule's design matrix ``m``."""
+    d = m.shape[1]
     if tau_n > 1.0 / d + 1e-12:
         raise ConfigurationError(
             f"tau_n={tau_n:g} exceeds 1/d_pref={1.0 / d:g}; the constraint "
@@ -164,7 +169,6 @@ def test_statistic(
         )
     if n_total is None:
         n_total = pi.total_count
-    m = design_matrix(rule, transform)
     b = pi.vec()
     if np.all(weights.inverse == 0.0):
         warnings.warn(
@@ -248,13 +252,10 @@ def bootstrap_test(
     tau = config.tau_n if config.tau_n is not None else default_tau(d, n_total)
 
     weights = variance_weights(pi, floor=config.weight_floor)
-    t_n, p_min, eta = test_statistic(
-        pi, rule, transform, weights, tau, n_total,
-        simplex_sum=config.simplex_sum,
-    )
+    m = design_matrix(rule, transform)
+    t_n, p_min, eta = _statistic(pi, m, weights, tau, n_total, config.simplex_sum)
     degenerate = bool(np.all(weights.inverse == 0.0))
 
-    m = design_matrix(rule, transform)
     b = pi.vec()
     rng = np.random.default_rng(config.seed)
     L = config.n_boot

@@ -21,12 +21,19 @@ A pool of rules draws rule ``i`` from child ``i`` of the configured seed
 (see :func:`child_seeds`), so a pool is reproducible for integer and
 :class:`numpy.random.SeedSequence` seeds alike and a larger pool extends a
 smaller one without changing its draws.
+
+Pools are drawn in lockstep: a block of rules is stepped as one stack of
+rows, while each rule keeps its own generator and draws the same numbers
+in the same order as it would alone.  A rule drawn in a pool is therefore
+bit-identical to the same rule drawn one at a time by
+:func:`sample_attention_rule` from its child seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,6 +58,12 @@ MAX_DIRECTION_RETRIES = 8
 
 #: Superset-spread moves feed at most this many target sets per donor.
 FALLBACK_MAX_TARGETS = 3
+
+#: Rules step together in blocks of at most this many, and of at most as
+#: many (row, set, set) cells of fallback draws as 64 rules of 6 preference
+#: blocks over 32 sets (3 MB), so no temporary grows with the pool.
+_BLOCK_RULES = 64
+_BLOCK_CELLS = _BLOCK_RULES * 6 * 32 * 32
 
 
 @dataclass(frozen=True)
@@ -104,8 +117,7 @@ def initial_row_outside(menu: Menu) -> NDArray[np.float64]:
     """
     if menu.outside_index is None:
         raise ConfigurationError("menu has no outside option configured")
-    enum = enumerate_sets(menu, outside_mode=True)
-    row = np.zeros(enum.d_c)
+    row = np.zeros(1 << (menu.n - 1))
     row[0] = 1.0
     return row
 
@@ -136,12 +148,18 @@ def _superset_matrix(enum_key: tuple[int, bool]) -> NDArray:
     return out
 
 
-def _lattice_index(enum: SetEnumeration, j: int) -> int:
-    """Map an enumeration index to its reduced lattice mask."""
-    return j if (1 << enum.n_bits) == enum.d_c else j + 1
+def _runs(owner, rngs):
+    """``(generator, start, stop)`` for each run of rows owned by one rule.
+
+    ``owner`` is the nondecreasing rule index of every row of a stack.
+    """
+    cuts = (np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist()
+    bounds = [0, *cuts, owner.size]
+    for a, z in zip(bounds[:-1], bounds[1:]):
+        yield rngs[owner[a]], a, z
 
 
-def _superset_transfer(states, enum, rng, stuck):
+def _superset_transfer(sub, enum, runs):
     """Guaranteed-feasible directions: spread mass onto strict supersets.
 
     Shifting probability from a set onto its strict supersets can only
@@ -156,87 +174,132 @@ def _superset_transfer(states, enum, rng, stuck):
     Spreading any wider leaves every coordinate barely positive, after
     which all subsequent feasible steps are microscopic and the chain's
     rows barely change across periods.
+
+    ``sub`` holds the stuck rows; ``runs`` gives each rule's generator and
+    its rows' ``(start, stop)`` in ``sub``.  Every row draws a ``(d_c, d_c)``
+    block of target weights (row j for donor j), then each rule draws
+    ``d_c`` outflow shares per row, but only the donors' weight rows are
+    read: sets without mass send nothing.
     """
-    outside = (1 << enum.n_bits) == enum.d_c
-    sup = _superset_matrix((enum.n_bits, outside))
-    sub = states[stuck]  # (q, d_c)
     q, d_c = sub.shape
-    donors = sub > GAMMA_FLOOR  # (q, d_c); full set has no supersets anyway
-    receivers = sub < 1.0 - GAMMA_FLOOR
-    # admissible[i, j, s]: donor j may send mass to its strict superset s
-    admissible = donors[:, :, None] & receivers[:, None, :] & sup[None, :, :]
-    w = rng.uniform(size=(q, d_c, d_c)) * admissible
-    if d_c > FALLBACK_MAX_TARGETS:
-        cut = np.sort(w, axis=2)[:, :, -FALLBACK_MAX_TARGETS][:, :, None]
-        w = np.where(w >= np.maximum(cut, 1e-300), w, 0.0)
-    totals = w.sum(axis=2, keepdims=True)
-    live = totals[:, :, 0] > 0.0
-    np.divide(w, totals, out=w, where=totals > 0)
-    outflow = rng.uniform(0.2, 1.0, size=(q, d_c)) * live
-    w *= outflow[:, :, None]
-    direction = w.sum(axis=1) - outflow  # inflow minus outflow per set
-    neg = direction < -GAMMA_FLOOR
-    pos = direction > GAMMA_FLOOR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lo = np.where(neg, sub / np.where(neg, -direction, 1.0), np.inf)
-        hi = np.where(pos, (1.0 - sub) / np.where(pos, direction, 1.0), np.inf)
-    gmax = np.minimum(lo.min(axis=1), hi.min(axis=1))
-    bad = ~np.isfinite(gmax) | ~live.any(axis=1)
+    weights = np.empty((q, d_c, d_c))
+    shares = np.empty((q, d_c))
+    for rng, a, z in runs:
+        rng.random(out=weights[a:z])
+        rng.random(out=shares[a:z])
+    shares *= 1.0 - 0.2  # uniform on [0.2, 1), as rng.uniform(0.2, 1.0)
+    shares += 0.2
+    # One (row, donor) pair per set carrying mass; the full set has no
+    # supersets, so it never sends anything.
+    pair = np.flatnonzero(sub > GAMMA_FLOOR)
+    row = pair // d_c
+    outside = (1 << enum.n_bits) == enum.d_c
+    targets = (sub < 1.0 - GAMMA_FLOOR)[row]
+    targets &= _superset_matrix((enum.n_bits, outside))[pair - row * d_c]
+    w = np.take(weights.reshape(q * d_c, d_c), pair, axis=0)
+    w *= targets
+    # Keep each donor's FALLBACK_MAX_TARGETS heaviest targets (ties kept).
+    wide = np.flatnonzero(np.count_nonzero(targets, axis=1) > FALLBACK_MAX_TARGETS)
+    kth = d_c - FALLBACK_MAX_TARGETS
+    cut = np.partition(w[wide], kth, axis=1)[:, kth, None]
+    targets[wide] = w[wide] >= cut
+    w *= targets
+    totals = w.sum(axis=1)
+    live = totals > 0.0
+    outflow = shares.reshape(-1)[pair] * live
+    # Inflow per set: each kept weight, normalised and scaled by its donor's
+    # outflow, summed over donors in ascending order (bincount adds in input
+    # order).  Rounding depends on that order, so it must not change.
+    kept = np.flatnonzero(targets)
+    donor_of = kept // d_c
+    flow = w.reshape(-1)[kept] / totals[donor_of] * outflow[donor_of]
+    into = row[donor_of] * d_c + (kept - donor_of * d_c)
+    direction = np.bincount(into, flow, q * d_c).astype(np.float64, copy=False)
+    direction[pair] -= outflow
+    direction = direction.reshape(q, d_c)
+    gmax = _max_step(sub, direction)
+    moving = np.zeros(q, dtype=bool)
+    moving[row[live]] = True
+    bad = ~np.isfinite(gmax) | ~moving
     gmax[bad] = 0.0  # only the full-menu vertex carries mass: absorbing
     direction[bad] = 0.0
     return direction, gmax
 
 
-def _draw_directions(states, enum, rng):
-    """Candidate directions and their feasible step bounds for each row."""
-    b, d_c = states.shape
-    psi = -np.abs(rng.normal(size=(b, d_c)))
+def _max_step(rows, xi):
+    """Largest step along each row's ``xi`` keeping every entry in [0, 1].
+
+    ``inf`` for a row whose direction has no coordinate above the floor.
+    """
+    lo = np.full(rows.shape, np.inf)
+    np.divide(rows, -xi, out=lo, where=xi < -GAMMA_FLOOR)
+    hi = np.full(rows.shape, np.inf)
+    np.divide(1.0 - rows, xi, out=hi, where=xi > GAMMA_FLOOR)
+    return np.minimum(lo.min(axis=1), hi.min(axis=1))
+
+
+def _draw_directions(states, psi, enum):
+    """Candidate directions from standard normals ``psi`` (overwritten), with step bounds."""
+    np.abs(psi, out=psi)
+    np.negative(psi, out=psi)
     psi[:, enum.full_index] = 0.0
     xi = moebius_inverse(psi, enum)
-    neg = xi < -GAMMA_FLOOR
-    pos = xi > GAMMA_FLOOR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound_lo = np.where(neg, states / np.where(neg, -xi, 1.0), np.inf)
-        bound_hi = np.where(pos, (1.0 - states) / np.where(pos, xi, 1.0), np.inf)
-    gmax = np.minimum(bound_lo.min(axis=1), bound_hi.min(axis=1))
+    gmax = _max_step(states, xi)
     gmax[~np.isfinite(gmax)] = 0.0  # no binding constraint: null direction
     return xi, gmax
 
 
-def _step_rows(states, enum, rng):
-    """Advance a stack of rows one period; returns (rows, gammas, degenerate)."""
-    b, d_c = states.shape
-    xi = np.zeros((b, d_c))
-    gmax = np.zeros(b)
+def _step_rows(states, enum, rngs):
+    """Advance a block of rules one period in lockstep.
+
+    ``states`` is ``(n, d_pref, d_c)``: rule i's rows, stepped on generator
+    ``rngs[i]``.  Each generator draws the same numbers in the same order
+    as it would stepping its rule alone, so the block's rows equal those of
+    one rule at a time bit for bit.  Returns (rows, gammas, degenerate),
+    the last two shaped ``(n, d_pref)``.
+    """
+    n, d_pref, d_c = states.shape
+    rows = states.reshape(n * d_pref, d_c)
+    xi = np.zeros_like(rows)
+    gmax = np.zeros(n * d_pref)
     # Random accumulated-space draws only clear the feasibility bound when
     # few coordinates sit on the boundary; rows with many zeros go straight
     # to the superset-spread move.
-    zeros = (states <= GAMMA_FLOOR).sum(axis=1)
-    pending = np.nonzero(zeros <= 2)[0]
+    zeros = (rows <= GAMMA_FLOOR).sum(axis=1)
+    pending = np.flatnonzero(zeros <= 2)
     for _ in range(MAX_DIRECTION_RETRIES):
         if pending.size == 0:
             break
-        cand_xi, cand_g = _draw_directions(states[pending], enum, rng)
+        psi = np.empty((pending.size, d_c))
+        for rng, a, z in _runs(pending // d_pref, rngs):
+            rng.standard_normal(out=psi[a:z])
+        cand_xi, cand_g = _draw_directions(rows[pending], psi, enum)
         ok = cand_g > GAMMA_FLOOR
         take = pending[ok]
         xi[take] = cand_xi[ok]
         gmax[take] = cand_g[ok]
         pending = pending[~ok]
-    stuck = np.nonzero(gmax <= GAMMA_FLOOR)[0]
+    stuck = np.flatnonzero(gmax <= GAMMA_FLOOR)
     if stuck.size:
-        fb_xi, fb_g = _superset_transfer(states, enum, rng, stuck)
+        fb_xi, fb_g = _superset_transfer(rows[stuck], enum, _runs(stuck // d_pref, rngs))
         xi[stuck] = fb_xi
         gmax[stuck] = fb_g
-    gamma = rng.uniform(size=b) * gmax
-    new = states + gamma[:, None] * xi
+    gamma = np.empty((n, d_pref))
+    for rng, g in zip(rngs, gamma):
+        rng.random(out=g)
+    gamma = gamma.reshape(-1) * gmax
+    new = rows + gamma[:, None] * xi
     np.clip(new, 0.0, 1.0, out=new)
-    return new, gamma, gmax <= GAMMA_FLOOR
+    return (
+        new.reshape(n, d_pref, d_c),
+        gamma.reshape(n, d_pref),
+        (gmax <= GAMMA_FLOOR).reshape(n, d_pref),
+    )
 
 
 def step(
     row: NDArray[np.float64],
     enum: SetEnumeration,
-    config: SamplerConfig,
     rng: np.random.Generator,
     direction: NDArray[np.float64] | None = None,
 ) -> StepResult:
@@ -261,28 +324,24 @@ def step(
                 "direction must have nonpositive accumulated image and "
                 "preserve total mass"
             )
-        neg = xi < -GAMMA_FLOOR
-        pos = xi > GAMMA_FLOOR
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lo = np.where(neg, states / np.where(neg, -xi, 1.0), np.inf)
-            hi = np.where(pos, (1.0 - states) / np.where(pos, xi, 1.0), np.inf)
-        gmax = float(min(lo.min(), hi.min()))
+        gmax = float(_max_step(states, xi)[0])
         if not np.isfinite(gmax):
             gmax = 0.0
         gamma = float(rng.uniform()) * gmax
         new = np.clip(states + gamma * xi, 0.0, 1.0)
         return StepResult(new[0], gamma, gmax <= GAMMA_FLOOR)
-    new, gamma, degen = _step_rows(states, enum, rng)
-    return StepResult(new[0], float(gamma[0]), bool(degen[0]))
+    new, gamma, degen = _step_rows(states[None], enum, [rng])
+    return StepResult(new[0, 0], float(gamma[0, 0]), bool(degen[0, 0]))
 
 
 def _initial_states(
-    menu: Menu,
     enum: SetEnumeration,
     config: SamplerConfig,
     d_pref: int,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> NDArray[np.float64]:
+    """``(n, d_pref, d_c)`` starting rows, one rule per generator."""
+    shape = (len(rngs), d_pref, enum.d_c)
     if config.initial_row is not None:
         init = np.asarray(config.initial_row, dtype=np.float64)
         if init.shape[0] != enum.d_c:
@@ -290,13 +349,37 @@ def _initial_states(
                 f"initial_row has length {init.shape[0]}, enumeration has "
                 f"{enum.d_c} sets"
             )
-        return np.tile(init, (d_pref, 1))
+        return np.broadcast_to(init, shape).copy()
     if config.outside_mode:
-        return np.tile(initial_row_outside(menu), (d_pref, 1))
+        states = np.zeros(shape)
+        states[:, :, 0] = 1.0  # the outside-only set, see initial_row_outside
+        return states
     # A fixed starting row would make every sampled rule (and anything
     # generated from one) agree exactly in the first period, collapsing the
     # pool's diversity there; draw each block's start uniformly instead.
-    return rng.dirichlet(np.ones(enum.d_c), size=d_pref)
+    alpha = np.ones(enum.d_c)
+    return np.stack([rng.dirichlet(alpha, size=d_pref) for rng in rngs])
+
+
+def _rule_blocks(enum, d_pref, config, seeds):
+    """Draw one rule per seed, yielding them as ``(m, d_t, d_pref, d_c)`` stacks.
+
+    Rule i runs on ``np.random.default_rng(seeds[i])``; the rules of a
+    stack step together (see :func:`_step_rows`) and equal the rules drawn
+    one at a time bit for bit.  Stacks hold at most ``_BLOCK_RULES`` rules
+    and at most ``_BLOCK_CELLS / (d_pref d_c^2)``, which bounds the
+    fallback's dense per-row draws however many seeds are passed.
+    """
+    block = max(1, min(_BLOCK_RULES, _BLOCK_CELLS // (d_pref * enum.d_c * enum.d_c)))
+    seeds = iter(seeds)
+    while rngs := [np.random.default_rng(s) for s in islice(seeds, block)]:
+        states = _initial_states(enum, config, d_pref, rngs)
+        out = np.empty((len(rngs), config.d_t, d_pref, enum.d_c))
+        out[:, 0] = states
+        for t in range(1, config.d_t):
+            states = _step_rows(states, enum, rngs)[0]
+            out[:, t] = states
+        yield out
 
 
 def sample_attention_rule(
@@ -310,15 +393,10 @@ def sample_attention_rule(
     (menu, orderings, config) inputs reproduce the rule bit for bit.
     """
     enum = enumerate_sets(menu, outside_mode=config.outside_mode)
-    d_pref = orderings.d_pref
-    rng = np.random.default_rng(config.seed)
-    states = _initial_states(menu, enum, config, d_pref, rng)
-    rows = [states]
-    for _ in range(config.d_t - 1):
-        states, _, _ = _step_rows(states, enum, rng)
-        rows.append(states)
-    u = np.stack(rows, axis=0).reshape(config.d_t, d_pref * enum.d_c)
-    return AttentionRule(u=u, set_index=enum, d_pref=d_pref)
+    (blocks,) = _rule_blocks(enum, orderings.d_pref, config, [config.seed])
+    return AttentionRule(
+        u=blocks[0].reshape(config.d_t, -1), set_index=enum, d_pref=orderings.d_pref
+    )
 
 
 def child_seeds(seed: int | np.random.SeedSequence | None, count: int):
@@ -347,5 +425,8 @@ def sample_attention_rules(
     Rule ``i`` depends only on ``config.seed`` and ``i``, so enlarging
     ``count`` extends the sequence without changing earlier draws.
     """
-    for child in child_seeds(config.seed, count):
-        yield sample_attention_rule(menu, orderings, replace(config, seed=child))
+    enum = enumerate_sets(menu, outside_mode=config.outside_mode)
+    d_pref = orderings.d_pref
+    for blocks in _rule_blocks(enum, d_pref, config, child_seeds(config.seed, count)):
+        for b in blocks:
+            yield AttentionRule(u=b.reshape(config.d_t, -1), set_index=enum, d_pref=d_pref)

@@ -184,15 +184,12 @@ def test_criterion_06_rule_pool_coverage_trend():
         )
         target = tc.predict_choices(truth, transform, p_star).vec()
         for size, seq in zip(sizes, inner):
-            blocks = np.stack(
-                [
-                    tc.sample_attention_rule(
-                        menu, orderings,
-                        tc.SamplerConfig(d_t=3, seed=c, outside_mode=False),
-                    ).blocks()
-                    for c in seq.spawn(size)
-                ]
+            # Rule i is drawn from child i of seq, as seq.spawn(size)[i].
+            pool = tc.sample_attention_rules(
+                menu, orderings,
+                tc.SamplerConfig(d_t=3, seed=seq, outside_mode=False), size,
             )
+            blocks = np.stack([rule.blocks() for rule in pool])
             predictions = np.einsum(
                 "ktpc,pcn,p->ktn", blocks, onehot, p_star.p, optimize=True
             ).reshape(size, -1)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,32 @@ class TestEstimate:
         assert result.best_index == 40
         assert result.best_distance < 1e-10
         assert np.abs(result.best_p.p - p_star.p).max() < 1e-4
+
+    def test_injected_rules_straddle_chunks(self, recovery_setup, menu3, orderings3, monkeypatch):
+        transform, rule, _, pi = recovery_setup
+        rng = np.random.default_rng(6)
+        extras = tuple(random_attention_rule(transform.sets, 6, 4, rng) for _ in range(2))
+        extras = (extras[0], rule, extras[1])
+        config = tc.SamplerConfig(d_t=4, seed=1, outside_mode=False)
+        whole = tc.estimate(pi, menu3, orderings3, 6, config, extra_rules=extras)
+        # Chunks [0, 4), [4, 8), [8, 9): draws and injected rules share one.
+        monkeypatch.setattr(est, "CHUNK", 4)
+        split = tc.estimate(pi, menu3, orderings3, 6, config, extra_rules=extras)
+        np.testing.assert_allclose(split.per_sim_distances, whole.per_sim_distances, atol=1e-12)
+        assert split.best_index == whole.best_index == 7
+        assert split.best_rule is rule
+
+    def test_pool_past_one_chunk_is_unchanged(self):
+        """Digest recorded with the sampler that drew every rule on its own
+        (numpy 2.4, x86_64); the lockstep draw keeps the bytes."""
+        pi, menu = tc.load_experiment_dataset()
+        orderings, _ = tc.crra_ordering_set()
+        config = tc.SamplerConfig(d_t=6, seed=0, outside_mode=True)
+        result = tc.estimate(pi, menu, orderings, est.CHUNK + 1, config)
+        assert hashlib.sha256(result.per_sim_distances.tobytes()).hexdigest() == (
+            "ac9af1260fa821dec9628c8a88349e60e268ece6b7f08349225a9988bf1a35f0"
+        )
+        assert result.best_index == 660
 
     def test_incompatible_injected_rule_rejected(self, menu3, orderings3):
         pi = tc.ChoiceDataset(pi=np.random.default_rng(0).dirichlet(np.ones(3), size=3))
