@@ -191,6 +191,7 @@ def test_to_json(result) -> dict:
         "alpha": result.alpha,
         "tau_n": result.tau_n,
         "n_boot": result.n_boot,
+        "n_unconverged": result.n_unconverged,
         "degenerate": result.degenerate,
     }
 

@@ -29,7 +29,7 @@ from .core import (
 )
 from .errors import SolverError, ValidationError
 from .sampler import SamplerConfig, _rule_blocks, child_seeds
-from .solvers import constrained_lstsq, constrained_lstsq_batch
+from .solvers import KKT_TOL, constrained_lstsq, constrained_lstsq_batch
 from .transform import (
     ChoiceTransform,
     build_choice_transform,
@@ -83,7 +83,7 @@ def solve_p(
     transform: ChoiceTransform,
     pi: ChoiceDataset,
     *,
-    kkt_tol: float = 1e-8,
+    kkt_tol: float = KKT_TOL,
     max_iter: int = 50_000,
 ) -> tuple[PreferenceDistribution, float]:
     """Best-fitting preference distribution for one attention rule.
@@ -123,7 +123,7 @@ def _score_pool(
     weights: NDArray[np.float64] | None = None,
     lower: float = 0.0,
     sum_constraint: bool = True,
-    kkt_tol: float = 1e-8,
+    kkt_tol: float = KKT_TOL,
     max_iter: int = 50_000,
 ) -> _Pool:
     """Draw ``k`` rules, append ``extra_rules`` and fit every one to ``pi``.
@@ -183,7 +183,7 @@ def estimate(
     sampler_config: SamplerConfig,
     *,
     extra_rules: tuple[AttentionRule, ...] = (),
-    kkt_tol: float = 1e-8,
+    kkt_tol: float = KKT_TOL,
     max_iter: int = 50_000,
 ) -> EstimationResult:
     """Best-of-K simulation estimator of the preference distribution.

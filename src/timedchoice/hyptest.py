@@ -21,9 +21,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import AttentionRule, ChoiceDataset, Menu, OrderingSet, PreferenceDistribution, enumerate_sets
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, SolverError, ValidationError
 from .estimator import _score_pool
-from .solvers import constrained_lstsq_batch
+from .solvers import KKT_TOL, constrained_lstsq_batch
 from .transform import ChoiceTransform, build_choice_transform, design_matrix
 
 # Not called here; bench/tracing.py looks both names up in this module.
@@ -81,7 +81,12 @@ class VarianceWeights:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of :func:`bootstrap_test`."""
+    """Outcome of :func:`bootstrap_test`.
+
+    ``bootstrap_stats`` holds the statistics of the converged replications
+    only; ``n_unconverged`` of the ``n_boot`` replications did not converge
+    and take no part in the critical value or the p-value.
+    """
 
     statistic: float
     critical_value: float
@@ -94,13 +99,17 @@ class TestResult:
     n_boot: int
     bootstrap_stats: NDArray[np.float64]
     degenerate: bool = False
+    n_unconverged: int = 0
 
     def summary(self) -> str:
         verdict = "reject" if self.reject else "fail to reject"
+        reps = f"{self.n_boot} replications"
+        if self.n_unconverged:
+            reps += f", {self.n_unconverged} unconverged"
         return (
             f"statistic T_n   : {self.statistic:.6g}\n"
             f"critical value  : {self.critical_value:.6g} "
-            f"(level {self.alpha:g}, {self.n_boot} replications)\n"
+            f"(level {self.alpha:g}, {reps})\n"
             f"p-value         : {self.p_value:.4f}\n"
             f"decision        : {verdict}"
         )
@@ -155,6 +164,8 @@ def test_statistic(
 
     Raises:
         ConfigurationError: infeasible shrinkage (``tau_n > 1 / d_pref``).
+        SolverError: the solve did not reach the KKT tolerance; the error
+            carries the minimizer found and its residual.
     """
     return _statistic(pi, design_matrix(rule, transform), weights, tau_n, n_total, simplex_sum)
 
@@ -177,7 +188,7 @@ def _statistic(pi, m, weights, tau_n, n_total, simplex_sum):
         )
         p0 = np.full(d, 1.0 / d)
         return 0.0, PreferenceDistribution(p0), m @ p0
-    p, obj, _ = constrained_lstsq_batch(
+    p, obj, res = constrained_lstsq_batch(
         m[None],
         b,
         weights=weights.inverse,
@@ -186,6 +197,13 @@ def _statistic(pi, m, weights, tau_n, n_total, simplex_sum):
         sum_constraint=simplex_sum,
     )
     p = p[0]
+    if not res[0] <= KKT_TOL:
+        raise SolverError(
+            f"test statistic did not reach KKT residual {KKT_TOL:g} "
+            f"(got {res[0]:g})",
+            iterate=p,
+            residual=float(res[0]),
+        )
     if not simplex_sum:
         # Without the sum constraint p is only bounded below; it is not a
         # distribution, so report the raw minimizer normalized for storage.
@@ -242,8 +260,14 @@ def bootstrap_test(
     holds exactly, recomputes the variance weights per replication, and
     compares the statistic to the bootstrap distribution's upper quantile.
 
-    The p-value is ``(1 + #{T*_l >= T_n}) / (L + 1)``; the decision
-    compares T_n with the ``ceil((1 - alpha) (L + 1))``-th order statistic.
+    A replication whose solve does not converge is left out and counted
+    in ``n_unconverged``.  Over the ``L`` converged replications, the
+    p-value is ``(1 + #{T*_l >= T_n}) / (L + 1)`` and the decision compares
+    T_n with the ``ceil((1 - alpha) (L + 1))``-th order statistic.
+
+    Raises:
+        SolverError: the statistic's own solve, or every replication's,
+            did not converge.
     """
     if pi.period_counts is None:
         raise ValidationError("bootstrap resampling needs per-period counts")
@@ -273,7 +297,7 @@ def bootstrap_test(
     omega_star, inv_star = _omega(pi_star, counts_per_cell[None, :], config.weight_floor)
     targets = pi_star - b[None, :] + eta[None, :]
 
-    _, obj_star, _ = constrained_lstsq_batch(
+    _, obj_star, res_star = constrained_lstsq_batch(
         np.broadcast_to(m, (L,) + m.shape),
         targets,
         weights=inv_star,
@@ -281,7 +305,11 @@ def bootstrap_test(
         total=1.0,
         sum_constraint=config.simplex_sum,
     )
-    t_star = n_total * obj_star
+    converged = res_star <= KKT_TOL
+    t_star = n_total * obj_star[converged]
+    L = t_star.size
+    if L == 0:
+        raise SolverError("no bootstrap replication converged")
 
     k = int(np.ceil((1.0 - config.alpha) * (L + 1)))
     k = min(max(k, 1), L)
@@ -296,7 +324,8 @@ def bootstrap_test(
         p_min=p_min,
         tau_n=float(tau),
         alpha=config.alpha,
-        n_boot=L,
+        n_boot=config.n_boot,
         bootstrap_stats=t_star,
         degenerate=degenerate,
+        n_unconverged=config.n_boot - L,
     )

@@ -61,7 +61,9 @@ FALLBACK_MAX_TARGETS = 3
 
 #: Rules step together in blocks of at most this many, and of at most as
 #: many (row, set, set) cells of fallback draws as 64 rules of 6 preference
-#: blocks over 32 sets (3 MB), so no temporary grows with the pool.
+#: blocks over 32 sets (3 MB), so no temporary grows with the pool.  The
+#: fallback draws its weights in pieces of at most that many cells, so a
+#: single rule with more rows stays bounded too.
 _BLOCK_RULES = 64
 _BLOCK_CELLS = _BLOCK_RULES * 6 * 32 * 32
 
@@ -179,40 +181,60 @@ def _superset_transfer(sub, enum, runs):
     its rows' ``(start, stop)`` in ``sub``.  Every row draws a ``(d_c, d_c)``
     block of target weights (row j for donor j), then each rule draws
     ``d_c`` outflow shares per row, but only the donors' weight rows are
-    read: sets without mass send nothing.
+    read: sets without mass send nothing.  The weights are drawn and cut
+    down to each donor's kept targets in pieces of at most
+    :data:`_BLOCK_CELLS` cells, so a rule with many preference blocks over
+    many sets never holds all of its draw at once.
     """
     q, d_c = sub.shape
-    weights = np.empty((q, d_c, d_c))
+    runs = list(runs)
+    piece = max(1, _BLOCK_CELLS // (d_c * d_c))
+    weights = np.empty((min(q, piece), d_c, d_c))
     shares = np.empty((q, d_c))
-    for rng, a, z in runs:
-        rng.random(out=weights[a:z])
-        rng.random(out=shares[a:z])
+    outside = (1 << enum.n_bits) == enum.d_c
+    supersets = _superset_matrix((enum.n_bits, outside))
+    kth = d_c - FALLBACK_MAX_TARGETS
+    pairs, totals, kept, kept_w = [], [], [], []
+    n_pairs = 0
+    for p0 in range(0, q, piece):
+        p1 = min(p0 + piece, q)
+        for rng, a, z in runs:
+            lo, hi = max(a, p0), min(z, p1)
+            if lo < hi:
+                rng.random(out=weights[lo - p0 : hi - p0])
+                if hi == z:
+                    rng.random(out=shares[a:z])
+        rows = sub[p0:p1]
+        # One (row, donor) pair per set carrying mass; the full set has no
+        # supersets, so it never sends anything.
+        pair = np.flatnonzero(rows > GAMMA_FLOOR)
+        row = pair // d_c
+        targets = (rows < 1.0 - GAMMA_FLOOR)[row]
+        targets &= supersets[pair - row * d_c]
+        w = np.take(weights[: p1 - p0].reshape(-1, d_c), pair, axis=0)
+        w *= targets
+        # Keep each donor's FALLBACK_MAX_TARGETS heaviest targets (ties kept).
+        wide = np.flatnonzero(np.count_nonzero(targets, axis=1) > FALLBACK_MAX_TARGETS)
+        cut = np.partition(w[wide], kth, axis=1)[:, kth, None]
+        targets[wide] = w[wide] >= cut
+        w *= targets
+        keep = np.flatnonzero(targets)
+        pairs.append(pair + p0 * d_c)
+        totals.append(w.sum(axis=1))
+        kept.append(keep + n_pairs * d_c)
+        kept_w.append(w.reshape(-1)[keep])
+        n_pairs += pair.size
     shares *= 1.0 - 0.2  # uniform on [0.2, 1), as rng.uniform(0.2, 1.0)
     shares += 0.2
-    # One (row, donor) pair per set carrying mass; the full set has no
-    # supersets, so it never sends anything.
-    pair = np.flatnonzero(sub > GAMMA_FLOOR)
+    pair, totals, kept = np.concatenate(pairs), np.concatenate(totals), np.concatenate(kept)
     row = pair // d_c
-    outside = (1 << enum.n_bits) == enum.d_c
-    targets = (sub < 1.0 - GAMMA_FLOOR)[row]
-    targets &= _superset_matrix((enum.n_bits, outside))[pair - row * d_c]
-    w = np.take(weights.reshape(q * d_c, d_c), pair, axis=0)
-    w *= targets
-    # Keep each donor's FALLBACK_MAX_TARGETS heaviest targets (ties kept).
-    wide = np.flatnonzero(np.count_nonzero(targets, axis=1) > FALLBACK_MAX_TARGETS)
-    kth = d_c - FALLBACK_MAX_TARGETS
-    cut = np.partition(w[wide], kth, axis=1)[:, kth, None]
-    targets[wide] = w[wide] >= cut
-    w *= targets
-    totals = w.sum(axis=1)
     live = totals > 0.0
     outflow = shares.reshape(-1)[pair] * live
     # Inflow per set: each kept weight, normalised and scaled by its donor's
     # outflow, summed over donors in ascending order (bincount adds in input
     # order).  Rounding depends on that order, so it must not change.
-    kept = np.flatnonzero(targets)
     donor_of = kept // d_c
-    flow = w.reshape(-1)[kept] / totals[donor_of] * outflow[donor_of]
+    flow = np.concatenate(kept_w) / totals[donor_of] * outflow[donor_of]
     into = row[donor_of] * d_c + (kept - donor_of * d_c)
     direction = np.bincount(into, flow, q * d_c).astype(np.float64, copy=False)
     direction[pair] -= outflow
@@ -367,8 +389,8 @@ def _rule_blocks(enum, d_pref, config, seeds):
     Rule i runs on ``np.random.default_rng(seeds[i])``; the rules of a
     stack step together (see :func:`_step_rows`) and equal the rules drawn
     one at a time bit for bit.  Stacks hold at most ``_BLOCK_RULES`` rules
-    and at most ``_BLOCK_CELLS / (d_pref d_c^2)``, which bounds the
-    fallback's dense per-row draws however many seeds are passed.
+    and at most ``_BLOCK_CELLS / (d_pref d_c^2)``, so a block's fallback
+    draws fit in one piece (see :func:`_superset_transfer`).
     """
     block = max(1, min(_BLOCK_RULES, _BLOCK_CELLS // (d_pref * enum.d_c * enum.d_c)))
     seeds = iter(seeds)

@@ -4,10 +4,19 @@ Solves ``min_p ||W^(1/2) (M p - b)||^2`` subject to ``p >= lower`` and,
 optionally, ``sum(p) = total``.  Problems of this shape are small (a few
 to a few hundred variables) but arrive in large batches, one per simulated
 attention rule or bootstrap replication, so the implementation works on
-stacked Gram matrices: an accelerated projected-gradient (FISTA) pass over
-the whole batch followed by an exact active-set refinement of each problem.
-The refinement pins the active face and solves the KKT equations on it, so
-clean problems finish at machine precision.
+stacked Gram matrices.  One window of accelerated projected gradient
+(FISTA) over the whole batch gives a warm start; an exact active-set polish
+then pins each problem's active face and solves the KKT equations on it,
+so clean problems finish at machine precision.  The polish advances the
+problems in lockstep and solves, each round, all KKT systems of one support
+size with one stacked solve.  Problems still above the tolerance get a
+second, full-budget FISTA pass and another polish.
+
+The polish's answer depends on the warm start only through the face it
+ends on.  Where the minimizer is unique, that is its support from any
+start, so a longer warm start gives the same solution bit for bit.  Where
+the minimizer is not unique (fewer rows than unknowns, repeated columns),
+the warm start decides which minimizer is returned.
 """
 
 from __future__ import annotations
@@ -19,8 +28,17 @@ from numpy.typing import NDArray
 
 from .errors import SolverError, ValidationError
 
+#: Default target for the normalized KKT residual: a solve that ends above
+#: it has not converged.
+KKT_TOL = 1e-8
+
 #: Entries of a solution below this are treated as at the lower bound.
 SUPPORT_TOL = 1e-12
+
+#: FISTA checks convergence every this many iterations, and the first pass
+#: of :func:`constrained_lstsq_batch` runs one such window: it only warm
+#: starts the exact polish, which settles the active face from there.
+FISTA_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -104,7 +122,6 @@ def _fista(G, h, r0, total, *, sum_constraint, max_iter, tol):
     y = r.copy()
     t_acc = 1.0
     it = 0
-    check_every = 32
     while it < max_iter:
         grad = 2.0 * (np.einsum("kij,kj->ki", G, y, optimize=True) - h)
         r_new = proj(y - step * grad)
@@ -116,54 +133,85 @@ def _fista(G, h, r0, total, *, sum_constraint, max_iter, tol):
             y[ascent] = r_new[ascent]
         r, t_acc = r_new, t_new
         it += 1
-        if it % check_every == 0:
+        if it % FISTA_WINDOW == 0:
             if kkt_residual(G, h, r, sum_constraint=sum_constraint).max() < tol:
                 break
     return r, it
 
 
-def _polish_one(G, h, r, *, total, sum_constraint):
-    """Exact active-set refinement of a single problem in Gram form."""
-    d = h.shape[0]
-    support = r > max(SUPPORT_TOL, 1e-9 * max(r.max(), 1.0))
-    if not support.any():
-        support[int(np.argmax(h))] = True
-    best = r
+def _polish_batch(G, h, r, *, total, sum_constraint):
+    """Exact active-set refinement of a batch of problems in Gram form.
+
+    Every problem follows its own active-set path: start from the support
+    of ``r``; solve the KKT equations on the support; if that gives a
+    negative coordinate, drop the most negative one, otherwise let in the
+    coordinate with the most negative gradient; stop when none enters or
+    after ``4 d + 8`` rounds.  The result is the last nonnegative
+    candidate (``r`` itself if there was none).  The problems advance in
+    lockstep: each round solves all KKT systems of one support size with
+    one stacked ``np.linalg.solve``, which runs the same LAPACK routine on
+    the same matrix as a solve of one problem, so the answers do not
+    depend on how the batch is grouped.
+    """
+    k, d = h.shape
+    best = r.copy()
+    thresh = np.maximum(SUPPORT_TOL, 1e-9 * np.maximum(r.max(axis=1), 1.0))
+    support = r > thresh[:, None]
+    empty = np.flatnonzero(~support.any(axis=1))
+    support[empty, np.argmax(h[empty], axis=1)] = True
+    active = np.arange(k)
     for _ in range(4 * d + 8):
-        idx = np.nonzero(support)[0]
-        s = idx.size
-        if sum_constraint:
-            kkt = np.zeros((s + 1, s + 1))
-            kkt[:s, :s] = 2.0 * G[np.ix_(idx, idx)]
-            kkt[:s, s] = 1.0
-            kkt[s, :s] = 1.0
-            rhs = np.concatenate([2.0 * h[idx], [total]])
-        else:
-            kkt = 2.0 * G[np.ix_(idx, idx)]
-            rhs = 2.0 * h[idx]
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        r_s = sol[:s]
-        if np.any(r_s < -1e-12):
-            # Drop the most negative coordinate and retry.
-            support[idx[int(np.argmin(r_s))]] = False
-            if not support.any():
-                break
-            continue
-        cand = np.zeros(d)
-        cand[idx] = np.maximum(r_s, 0.0)
-        g = 2.0 * (G @ cand - h)
-        best = cand
-        if sum_constraint:
-            nu = g[idx].max()
-            entering = np.nonzero(~support & (g < nu - 1e-14 * (1 + abs(nu))))[0]
-        else:
-            entering = np.nonzero(~support & (g < -1e-14 * (1 + np.abs(g).max())))[0]
-        if entering.size == 0:
+        if active.size == 0:
             break
-        support[entering[int(np.argmin(g[entering]))]] = True
+        sizes = np.count_nonzero(support[active], axis=1)
+        done = []
+        for s in np.unique(sizes).tolist():
+            ids = active[sizes == s]
+            n = ids.size
+            idx = np.nonzero(support[ids])[1].reshape(n, s)
+            dim = s + 1 if sum_constraint else s
+            kkt = np.zeros((n, dim, dim))
+            kkt[:, :s, :s] = 2.0 * G[ids[:, None, None], idx[:, :, None], idx[:, None, :]]
+            rhs = np.empty((n, dim, 1))
+            rhs[:, :s, 0] = 2.0 * h[ids[:, None], idx]
+            if sum_constraint:
+                kkt[:, :s, s] = 1.0
+                kkt[:, s, :s] = 1.0
+                rhs[:, s, 0] = total
+            try:
+                r_s = np.linalg.solve(kkt, rhs)[:, :s, 0]
+            except np.linalg.LinAlgError:
+                r_s = np.empty((n, s))
+                for j in range(n):
+                    try:
+                        sol = np.linalg.solve(kkt[j], rhs[j, :, 0])
+                    except np.linalg.LinAlgError:
+                        sol, *_ = np.linalg.lstsq(kkt[j], rhs[j, :, 0], rcond=None)
+                    r_s[j] = sol[:s]
+            neg = (r_s < -1e-12).any(axis=1)
+            # Drop the most negative coordinate and retry; a problem whose
+            # support runs empty stops.
+            drop = ids[neg]
+            support[drop, idx[neg, np.argmin(r_s[neg], axis=1)]] = False
+            done.append(drop[~support[drop].any(axis=1)])
+            ok = ~neg
+            ids, idx = ids[ok], idx[ok]
+            cand = np.zeros((ids.size, d))
+            np.put_along_axis(cand, idx, np.maximum(r_s[ok], 0.0), axis=1)
+            best[ids] = cand
+            g = 2.0 * (np.matmul(G[ids], cand[:, :, None])[:, :, 0] - h[ids])
+            if sum_constraint:
+                nu = np.take_along_axis(g, idx, axis=1).max(axis=1, keepdims=True)
+                limit = nu - 1e-14 * (1 + np.abs(nu))
+            else:
+                limit = -1e-14 * (1 + np.abs(g).max(axis=1, keepdims=True))
+            entering = ~support[ids] & (g < limit)
+            more = entering.any(axis=1)
+            done.append(ids[~more])
+            ids = ids[more]
+            enter = np.where(entering[more], g[more], np.inf).argmin(axis=1)
+            support[ids, enter] = True
+        active = np.setdiff1d(active, np.concatenate(done), assume_unique=True)
     return best
 
 
@@ -176,7 +224,7 @@ def constrained_lstsq_batch(
     total: float = 1.0,
     sum_constraint: bool = True,
     max_iter: int = 50_000,
-    kkt_tol: float = 1e-8,
+    kkt_tol: float = KKT_TOL,
 ) -> tuple[NDArray, NDArray, NDArray]:
     """Solve a batch of bound/simplex-constrained least-squares problems.
 
@@ -234,11 +282,10 @@ def constrained_lstsq_batch(
     G, h = _grams(M, c, w)
     r0 = np.full((k, d), (1.0 / d) if sum_constraint else 0.0)
     r, it = _fista(
-        G, h, r0, 1.0, sum_constraint=sum_constraint, max_iter=min(max_iter, 400),
-        tol=kkt_tol,
+        G, h, r0, 1.0, sum_constraint=sum_constraint,
+        max_iter=min(max_iter, FISTA_WINDOW), tol=kkt_tol,
     )
-    for i in range(k):
-        r[i] = _polish_one(G[i], h[i], r[i], total=1.0, sum_constraint=sum_constraint)
+    r = _polish_batch(G, h, r, total=1.0, sum_constraint=sum_constraint)
     res = kkt_residual(G, h, r, sum_constraint=sum_constraint)
     # A second, longer gradient pass for any stragglers.
     bad = res > kkt_tol
@@ -247,9 +294,9 @@ def constrained_lstsq_batch(
             G[bad], h[bad], r[bad], 1.0,
             sum_constraint=sum_constraint, max_iter=max_iter - it, tol=kkt_tol,
         )
-        r[bad] = r_bad
-        for i in np.nonzero(bad)[0]:
-            r[i] = _polish_one(G[i], h[i], r[i], total=1.0, sum_constraint=sum_constraint)
+        r[bad] = _polish_batch(
+            G[bad], h[bad], r_bad, total=1.0, sum_constraint=sum_constraint
+        )
         res = kkt_residual(G, h, r, sum_constraint=sum_constraint)
 
     p = lower + scale * r
@@ -278,7 +325,7 @@ def constrained_lstsq(
     total: float = 1.0,
     sum_constraint: bool = True,
     max_iter: int = 50_000,
-    kkt_tol: float = 1e-8,
+    kkt_tol: float = KKT_TOL,
 ) -> LstsqResult:
     """Single-problem front end to :func:`constrained_lstsq_batch`.
 

@@ -3,6 +3,7 @@ import pytest
 
 import timedchoice as tc
 import timedchoice.estimator as est
+import timedchoice.hyptest as ht
 from timedchoice.errors import ConfigurationError, SolverError, ValidationError
 
 from conftest import random_attention_rule
@@ -296,3 +297,70 @@ class TestFitTestRule:
                 pi, menu3, orderings3, 4,
                 tc.SamplerConfig(d_t=3, seed=0, outside_mode=False),
             )
+
+
+class TestConvergenceContract:
+    """The test path acts on the solver's KKT residual, as the pool does."""
+
+    @pytest.fixture
+    def data(self, setup3):
+        _, transform, rule = setup3
+        pi = sampled_dataset(
+            rule, transform, tc.PreferenceDistribution.uniform(6), (300,) * 3, 5
+        )
+        return pi, rule, transform
+
+    @staticmethod
+    def patch(monkeypatch, mark):
+        """Let ``mark(res)`` flag replications of the bootstrap batch as unconverged."""
+        real_batch = ht.constrained_lstsq_batch
+
+        def patched(M, b, **kwargs):
+            p, obj, res = real_batch(M, b, **kwargs)
+            res = res.copy()
+            mark(res)
+            return p, obj, res
+
+        monkeypatch.setattr(ht, "constrained_lstsq_batch", patched)
+
+    def test_unconverged_statistic_raises(self, data, monkeypatch):
+        pi, rule, transform = data
+        self.patch(monkeypatch, lambda res: res.fill(1.0))
+        with pytest.raises(SolverError) as err:
+            tc.test_statistic(pi, rule, transform, tc.variance_weights(pi), 0.05)
+        assert err.value.residual == 1.0
+        with pytest.raises(SolverError):
+            tc.bootstrap_test(pi, rule, transform, tc.TestConfig(n_boot=49, seed=7))
+
+    def test_unconverged_replications_are_left_out_and_counted(self, data, monkeypatch):
+        pi, rule, transform = data
+        cfg = tc.TestConfig(n_boot=99, seed=7)
+        full = tc.bootstrap_test(pi, rule, transform, cfg)
+        assert full.n_unconverged == 0 and full.bootstrap_stats.size == 99
+
+        def every_third(res):
+            if res.size > 1:
+                res[::3] = 1.0
+
+        self.patch(monkeypatch, every_third)
+        part = tc.bootstrap_test(pi, rule, transform, cfg)
+        kept = np.delete(full.bootstrap_stats, np.s_[::3])
+        L = kept.size
+        assert part.n_boot == 99 and part.n_unconverged == 99 - L == 33
+        assert part.statistic == full.statistic
+        np.testing.assert_array_equal(part.bootstrap_stats, kept)
+        assert part.p_value == (1.0 + np.sum(kept >= part.statistic)) / (L + 1.0)
+        k = int(np.ceil((1.0 - cfg.alpha) * (L + 1)))
+        assert part.critical_value == np.sort(kept)[k - 1]
+        assert "33 unconverged" in part.summary()
+
+    def test_no_converged_replication_raises(self, data, monkeypatch):
+        pi, rule, transform = data
+
+        def all_replications(res):
+            if res.size > 1:
+                res.fill(1.0)
+
+        self.patch(monkeypatch, all_replications)
+        with pytest.raises(SolverError):
+            tc.bootstrap_test(pi, rule, transform, tc.TestConfig(n_boot=49, seed=7))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import timedchoice as tc
+from timedchoice import sampler
 from timedchoice.errors import ConfigurationError
 from timedchoice.estimator import CHUNK
 from timedchoice.sampler import (
@@ -327,3 +328,47 @@ class TestLockstepPool:
         finally:
             tracemalloc.stop()
         assert peak < 24e6, peak
+
+    @pytest.mark.parametrize("rows_per_piece", [1, 5])
+    def test_fallback_pieces_keep_the_stream(self, menu6, orderings6, monkeypatch, rows_per_piece):
+        """Fallback weights drawn a few rows at a time equal one whole draw."""
+        enum = tc.enumerate_sets(menu6, outside_mode=True)
+        states = np.zeros((8, orderings6.d_pref, enum.d_c))
+        states[:, :, 0] = 1.0  # every row stuck: 48 fallback rows over 8 rules
+        whole = _step_rows(states, enum, [np.random.default_rng(s) for s in range(8)])
+        monkeypatch.setattr(sampler, "_BLOCK_CELLS", rows_per_piece * enum.d_c**2)
+        # Pieces of 5 rows straddle the rules' runs of 6 rows.
+        pieces = _step_rows(states, enum, [np.random.default_rng(s) for s in range(8)])
+        for a, b in zip(whole, pieces):
+            np.testing.assert_array_equal(a, b)
+        config = tc.SamplerConfig(d_t=6, seed=0, outside_mode=True)
+        pool = tc.sample_attention_rules(menu6, orderings6, config, 200)
+        assert _digest(pool) == (
+            "f1fb53ece4ee3933e9f599c7fa1162d1ad89217ee98df285e2a16f02ec34f440"
+        )
+
+    def test_fallback_memory_at_the_size_cap(self):
+        """One rule over all orderings of 7 items, no outside option.
+
+        Every row starts on one set, so every row takes the fallback, whose
+        weight draw is 5,040 x 127 x 127 float64 (650 MB) for the step.
+        Drawn and cut in pieces, the step peaked at 54 MB (numpy 2.4,
+        x86_64); drawn whole it peaked at 682 MB.
+        """
+        menu = tc.Menu(items=tuple("abcdefg"))
+        orderings = tc.all_orderings(7)
+        enum = tc.enumerate_sets(menu, outside_mode=False)
+        init = np.zeros(enum.d_c)
+        init[0] = 1.0
+        config = tc.SamplerConfig(d_t=2, seed=3, outside_mode=False, initial_row=init)
+        tracemalloc.start()
+        try:
+            rule = tc.sample_attention_rule(menu, orderings, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120e6, peak
+        assert tc.check_time_monotonicity(rule).passed
+        assert _digest([rule]) == (
+            "3f28da9d690895b6d19d0263fae54102e653c7fa7ec6f02b76d1ac17987a47a0"
+        )

@@ -3,12 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import timedchoice as tc
+from timedchoice import solvers
 from timedchoice.errors import ValidationError
+from timedchoice.hyptest import _omega, default_tau, variance_weights
+from timedchoice.sampler import _rule_blocks, child_seeds
 from timedchoice.solvers import (
+    _fista,
+    _grams,
     constrained_lstsq,
     constrained_lstsq_batch,
+    kkt_residual,
     project_simplex,
 )
+from timedchoice.transform import design_matrix_batch
 
 
 def grid_minimum_2d(M, b, weights=None, lower=0.0, resolution=1e-3):
@@ -146,3 +154,218 @@ class TestConstrainedLstsq:
         b = rng.normal(size=m)
         res = constrained_lstsq(M, b)
         assert res.kkt_residual < 1e-8
+
+
+def _reference_polish_one(G, h, r, *, sum_constraint):
+    """Active-set polish of one problem, one KKT solve per round."""
+    d = h.shape[0]
+    support = r > max(solvers.SUPPORT_TOL, 1e-9 * max(r.max(), 1.0))
+    if not support.any():
+        support[int(np.argmax(h))] = True
+    best = r
+    for _ in range(4 * d + 8):
+        idx = np.nonzero(support)[0]
+        s = idx.size
+        if sum_constraint:
+            kkt = np.zeros((s + 1, s + 1))
+            kkt[:s, :s] = 2.0 * G[np.ix_(idx, idx)]
+            kkt[:s, s] = 1.0
+            kkt[s, :s] = 1.0
+            rhs = np.concatenate([2.0 * h[idx], [1.0]])
+        else:
+            kkt = 2.0 * G[np.ix_(idx, idx)]
+            rhs = 2.0 * h[idx]
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        r_s = sol[:s]
+        if np.any(r_s < -1e-12):
+            support[idx[int(np.argmin(r_s))]] = False
+            if not support.any():
+                break
+            continue
+        cand = np.zeros(d)
+        cand[idx] = np.maximum(r_s, 0.0)
+        g = 2.0 * (G @ cand - h)
+        best = cand
+        if sum_constraint:
+            nu = g[idx].max()
+            entering = np.nonzero(~support & (g < nu - 1e-14 * (1 + abs(nu))))[0]
+        else:
+            entering = np.nonzero(~support & (g < -1e-14 * (1 + np.abs(g).max())))[0]
+        if entering.size == 0:
+            break
+        support[entering[int(np.argmin(g[entering]))]] = True
+    return best
+
+
+def _reference_batch(M, b, *, weights=None, lower=0.0, sum_constraint=True):
+    """The batched solver with a 400-iteration warm start and a per-problem polish.
+
+    The oracle for :func:`constrained_lstsq_batch`, which warm starts with
+    one FISTA window and polishes all problems in lockstep (unit total,
+    default budget and tolerance, a feasible lower bound).
+    """
+    max_iter, kkt_tol = 50_000, 1e-8
+    M = np.asarray(M, dtype=np.float64)
+    single = M.ndim == 2
+    if single:
+        M = M[None]
+    k, m, d = M.shape
+    b = np.broadcast_to(np.asarray(b, dtype=np.float64), (k, m))
+    w = None if weights is None else np.broadcast_to(np.asarray(weights, dtype=np.float64), (k, m))
+    span = max(1.0 - d * lower, 0.0) if sum_constraint else 1.0
+    c = (b - lower * M.sum(axis=2)) / max(span, 1e-300)
+    G, h = _grams(M, c, w)
+    r0 = np.full((k, d), (1.0 / d) if sum_constraint else 0.0)
+    r, it = _fista(G, h, r0, 1.0, sum_constraint=sum_constraint, max_iter=400, tol=kkt_tol)
+    for i in range(k):
+        r[i] = _reference_polish_one(G[i], h[i], r[i], sum_constraint=sum_constraint)
+    res = kkt_residual(G, h, r, sum_constraint=sum_constraint)
+    bad = res > kkt_tol
+    if np.any(bad) and it < max_iter:
+        r_bad, _ = _fista(
+            G[bad], h[bad], r[bad], 1.0,
+            sum_constraint=sum_constraint, max_iter=max_iter - it, tol=kkt_tol,
+        )
+        r[bad] = r_bad
+        for i in np.nonzero(bad)[0]:
+            r[i] = _reference_polish_one(G[i], h[i], r[i], sum_constraint=sum_constraint)
+        res = kkt_residual(G, h, r, sum_constraint=sum_constraint)
+    p = lower + span * r
+    if sum_constraint:
+        free = np.maximum(p - lower, 0.0)
+        tot = free.sum(axis=1, keepdims=True)
+        good = tot[:, 0] > 0
+        free[good] *= span / tot[good]
+        p = lower + free
+    else:
+        p = np.maximum(p, lower)
+    resid = np.einsum("kmd,kd->km", M, p, optimize=True) - b
+    obj = ((resid**2) if w is None else w * resid**2).sum(axis=1)
+    if single:
+        return p[0], obj[0], res[0]
+    return p, obj, res
+
+
+def _assert_bytes_equal(got, want):
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.fixture(scope="module")
+def bundled_pool():
+    """Design matrices of the first 1,024 rules of the bundled experiment's pool (seed 0)."""
+    pi, menu = tc.load_experiment_dataset()
+    orderings, _ = tc.crra_ordering_set()
+    enum = tc.enumerate_sets(menu, outside_mode=True)
+    transform = tc.build_choice_transform(menu, enum, orderings)
+    config = tc.SamplerConfig(d_t=pi.d_t, seed=0, outside_mode=True)
+    blocks = np.concatenate(
+        list(_rule_blocks(enum, orderings.d_pref, config, child_seeds(0, 1024)))
+    )
+    return pi, design_matrix_batch(blocks, transform)
+
+
+class TestLockstepPolishOracle:
+    """The lockstep solver returns the oracle's bytes.
+
+    Recorded with numpy 2.4 on x86_64 (OpenBLAS): a stacked
+    ``np.linalg.solve`` runs the same LAPACK ``dgesv`` on each matrix as a
+    solve of that matrix alone, and on these problems the one-window warm
+    start leads the polish to the same active face as the 400-iteration one.
+    """
+
+    def test_bundled_pool_unweighted(self, bundled_pool):
+        pi, ms = bundled_pool
+        _assert_bytes_equal(constrained_lstsq_batch(ms, pi.vec()), _reference_batch(ms, pi.vec()))
+
+    def test_bundled_pool_with_test_weights_and_floor(self, bundled_pool):
+        pi, ms = bundled_pool
+        d = ms.shape[2]
+        kw = dict(
+            weights=variance_weights(pi).inverse, lower=default_tau(d, pi.total_count) / d
+        )
+        _assert_bytes_equal(
+            constrained_lstsq_batch(ms, pi.vec(), **kw), _reference_batch(ms, pi.vec(), **kw)
+        )
+
+    def test_bootstrap_shape(self, bundled_pool):
+        """One design matrix broadcast over L replications, per-row targets and weights."""
+        pi, ms = bundled_pool
+        m, d, L = ms[0], ms.shape[2], 199
+        counts = np.asarray(pi.period_counts)
+        rng = np.random.default_rng(1)
+        pi_star = np.stack(
+            [rng.multinomial(counts[t], pi.pi[t], size=L) / counts[t] for t in range(pi.d_t)],
+            axis=1,
+        ).reshape(L, -1)
+        _, inv_star = _omega(pi_star, np.repeat(counts.astype(float), pi.n)[None, :], 1e-12)
+        eta = m @ np.full(d, 1.0 / d)
+        targets = pi_star - pi.vec()[None, :] + eta[None, :]
+        kw = dict(weights=inv_star, lower=default_tau(d, pi.total_count) / d)
+        M = np.broadcast_to(m, (L,) + m.shape)
+        _assert_bytes_equal(
+            constrained_lstsq_batch(M, targets, **kw), _reference_batch(M, targets, **kw)
+        )
+
+    def test_orthant_mode(self, bundled_pool):
+        pi, ms = bundled_pool
+        ms = ms[:256]
+        _assert_bytes_equal(
+            constrained_lstsq_batch(ms, pi.vec(), sum_constraint=False),
+            _reference_batch(ms, pi.vec(), sum_constraint=False),
+        )
+
+    def test_single_problem(self, bundled_pool):
+        pi, ms = bundled_pool
+        got = constrained_lstsq_batch(ms[3], pi.vec())
+        assert got[0].shape == (ms.shape[2],)
+        _assert_bytes_equal(got, _reference_batch(ms[3], pi.vec()))
+
+
+class TestPolishFallbacks:
+    def test_singular_kkt_systems_fall_back_one_at_a_time(self, monkeypatch):
+        """Duplicate design columns make the KKT system singular: lstsq answers it."""
+        rng = np.random.default_rng(0)
+        M = rng.normal(size=(8, 9, 4))
+        M[::2, :, 3] = M[::2, :, 1]
+        b = rng.normal(size=(8, 9))
+        want = _reference_batch(M, b)
+        alone = constrained_lstsq_batch(M[1::2], b[1::2])
+        real_lstsq = np.linalg.lstsq
+        calls = []
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        got = constrained_lstsq_batch(M, b)
+        assert calls
+        _assert_bytes_equal(got, want)
+        # The regular problems are unaffected by their singular neighbours.
+        _assert_bytes_equal([x[1::2] for x in got], alone)
+        assert np.all(got[2] <= 1e-8)
+
+    def test_straggler_pass_reaches_the_tolerance(self, bundled_pool, monkeypatch):
+        """Problems the first polish leaves unconverged get the full-budget pass."""
+        pi, ms = bundled_pool
+        ms = ms[:64]
+        clean = constrained_lstsq_batch(ms, pi.vec())
+        real_polish = solvers._polish_batch
+        sizes = []
+
+        def first_polish_skipped(G, h, r, **kwargs):
+            sizes.append(len(h))
+            return r if len(sizes) == 1 else real_polish(G, h, r, **kwargs)
+
+        monkeypatch.setattr(solvers, "_polish_batch", first_polish_skipped)
+        p, obj, res = constrained_lstsq_batch(ms, pi.vec())
+        assert len(sizes) == 2 and 0 < sizes[1] <= 64
+        assert np.all(res <= 1e-8)
+        np.testing.assert_allclose(p, clean[0], atol=1e-9)
+        np.testing.assert_allclose(obj, clean[1], rtol=1e-9, atol=1e-15)
