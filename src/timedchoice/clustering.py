@@ -3,8 +3,13 @@
 Observations that took literally zero seconds form their own first
 period; the remaining stopping times are split into contiguous intervals
 by exact 1-D k-means.  The one-dimensional problem admits an exact
-dynamic program over sorted distinct values, so the clustering is
-deterministic and free of initialization artifacts.
+dynamic program over sorted distinct values (Wang & Song, R Journal
+2011), so the clustering is deterministic and free of initialization
+artifacts.  For m distinct values and k clusters the program does
+O(k·m²) arithmetic in k·m vectorised passes and holds O(k·m) memory;
+ties between equal-cost partitions always go to the earliest cluster
+start, so a given input always yields the same partition.  Non-finite
+times are rejected.
 """
 
 from __future__ import annotations
@@ -54,13 +59,19 @@ def kmeans_1d(values: NDArray, k: int) -> list[NDArray]:
 
     Optimal clusters of 1-D data are contiguous runs of the sorted values,
     so the globally optimal partition is found by dynamic programming over
-    distinct values (ties can never straddle a boundary).  Returns the
-    clusters as sorted arrays.
+    distinct values (ties can never straddle a boundary).  Each of the
+    k·m table cells scores all its candidate cluster starts in one numpy
+    pass over prefix sums, so the work is O(k·m²) for m distinct values and
+    the tables take O(k·m) memory.  Among equal-cost candidates the earliest
+    start wins.  Returns the clusters as sorted arrays.
 
     Raises:
-        ValidationError: fewer distinct values than clusters.
+        ValidationError: a non-finite value, values whose sum of squares
+            overflows, ``k < 1``, or fewer distinct values than clusters.
     """
     values = np.sort(np.asarray(values, dtype=np.float64))
+    if not np.isfinite(values).all():
+        raise ValidationError("values must be finite")
     distinct, weights = np.unique(values, return_counts=True)
     m = distinct.size
     if k < 1:
@@ -70,30 +81,32 @@ def kmeans_1d(values: NDArray, k: int) -> list[NDArray]:
 
     # Prefix sums for O(1) within-cluster cost queries.
     w = weights.astype(np.float64)
-    s0 = np.concatenate([[0.0], np.cumsum(w)])
-    s1 = np.concatenate([[0.0], np.cumsum(w * distinct)])
-    s2 = np.concatenate([[0.0], np.cumsum(w * distinct * distinct)])
+    with np.errstate(over="ignore"):
+        s0 = np.concatenate([[0.0], np.cumsum(w)])
+        s1 = np.concatenate([[0.0], np.cumsum(w * distinct)])
+        s2 = np.concatenate([[0.0], np.cumsum(w * distinct * distinct)])
+        # Every sm*sm below is at most s0[-1] * s2[-1] (Cauchy-Schwarz), so
+        # when that is finite no cost overflows and no candidate is NaN.
+        total = s0[-1] * s2[-1]
+    if not np.isfinite(total):
+        raise ValidationError("values too large: the sum of squares overflows")
 
-    def cost(i: int, j: int) -> float:
-        # Sum of squared deviations of distinct values i..j (inclusive).
-        wt = s0[j + 1] - s0[i]
-        sm = s1[j + 1] - s1[i]
-        sq = s2[j + 1] - s2[i]
-        return sq - sm * sm / wt
-
-    inf = np.inf
-    dp = np.full((k + 1, m + 1), inf)
+    # dp[c, j]: least cost of c clusters over distinct values 0..j-1, the
+    # last cluster being i..j-1 with i = back[c, j].  Each cell scores all
+    # starts i in one pass; argmin keeps the first of tied minima.
+    dp = np.full((k + 1, m + 1), np.inf)
     back = np.zeros((k + 1, m + 1), dtype=int)
     dp[0, 0] = 0.0
     for c in range(1, k + 1):
         for j in range(c, m + 1):
-            best, arg = inf, c - 1
-            for i in range(c - 1, j):
-                cand = dp[c - 1, i] + cost(i, j - 1)
-                if cand < best:
-                    best, arg = cand, i
-            dp[c, j] = best
-            back[c, j] = arg
+            sm = s1[j] - s1[c - 1 : j]
+            cand = (
+                (s2[j] - s2[c - 1 : j]) - sm * sm / (s0[j] - s0[c - 1 : j])
+                + dp[c - 1, c - 1 : j]
+            )
+            arg = int(np.argmin(cand))
+            dp[c, j] = cand[arg]
+            back[c, j] = c - 1 + arg
     # Backtrack boundaries in distinct-value space.
     cuts = [m]
     j = m
@@ -136,8 +149,7 @@ def cluster_times(
         raise ValidationError("no observations")
     if k < 2:
         raise ValidationError("need at least two periods")
-    for o in obs:
-        menu.index_of(o.choice)  # validates labels
+    items = np.array([menu.index_of(o.choice) for o in obs])
 
     times = np.array([o.stopping_time for o in obs])
     zero = times == 0.0
@@ -154,27 +166,22 @@ def cluster_times(
         centroids: tuple[float, ...] = ()
     else:
         clusters = kmeans_1d(positive, k - 1)
-        edges = []
-        for cl in clusters:
-            edges.append((float(cl.min()), float(cl.max())))
+        edges = tuple((float(cl.min()), float(cl.max())) for cl in clusters)
         centroids = tuple(float(cl.mean()) for cl in clusters)
-        assignments = np.zeros(len(obs), dtype=int)
-        for i, t in enumerate(times):
-            if t == 0.0:
-                assignments[i] = 0
-                continue
-            for c, (lo, hi) in enumerate(edges):
-                if t <= hi or c == len(edges) - 1:
-                    assignments[i] = c + 1
-                    break
-        bounds = ((0.0, 0.0),) + tuple(edges)
+        # Period of a positive time: the first cluster whose upper edge is at
+        # least the time, the last cluster catching anything above.
+        upper = np.array([hi for _, hi in edges])
+        period = np.minimum(np.searchsorted(upper, times), len(edges) - 1) + 1
+        assignments = np.where(zero, 0, period)
+        bounds = ((0.0, 0.0),) + edges
 
     d_t = len(bounds)
-    pi = np.zeros((d_t, menu.n))
-    counts = np.zeros(d_t, dtype=int)
-    for o, period in zip(obs, assignments):
-        pi[period, menu.index_of(o.choice)] += 1
-        counts[period] += 1
+    counts = np.bincount(assignments, minlength=d_t)
+    pi = (
+        np.bincount(assignments * menu.n + items, minlength=d_t * menu.n)
+        .reshape(d_t, menu.n)
+        .astype(np.float64)
+    )
     if not allow_empty_first and counts[0] == 0:
         raise ValidationError("first period is empty")
     empty = counts == 0

@@ -407,14 +407,16 @@ class AttentionRule:
                 f"u has {u.shape[1]} columns, expected d_pref*d_c = "
                 f"{self.d_pref * d_c}"
             )
-        if np.any(u < -1e-12) or np.any(u > 1 + 1e-12):
-            raise ValidationError("attention probabilities must lie in [0, 1]")
-        blocks = u.reshape(u.shape[0], self.d_pref, d_c)
-        sums = blocks.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            raise ValidationError(
-                "each (period, preference) attention row must sum to one"
-            )
+        # Both tests are written so that a NaN entry fails them; an empty u
+        # has no entries to test.
+        if u.size:
+            if not (u.min() >= -1e-12 and u.max() <= 1 + 1e-12):
+                raise ValidationError("attention probabilities must lie in [0, 1]")
+            sums = u.reshape(u.shape[0], self.d_pref, d_c).sum(axis=2)
+            if not np.abs(sums - 1.0).max() <= ROW_SUM_TOL:
+                raise ValidationError(
+                    "each (period, preference) attention row must sum to one"
+                )
         object.__setattr__(self, "u", u)
 
     @property

@@ -230,6 +230,20 @@ class TestValidation:
         with pytest.raises(ValidationError):
             tc.AttentionRule(u=u, set_index=enum, d_pref=2)
 
+    def test_attention_rule_rejects_nan(self, menu2):
+        enum = tc.enumerate_sets(menu2)
+        u = np.full((2, 2 * enum.d_c), 1.0 / enum.d_c)
+        for where in [(0, 0), (1, 2 * enum.d_c - 1)]:
+            bad = u.copy()
+            bad[where] = np.nan
+            with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+                tc.AttentionRule(u=bad, set_index=enum, d_pref=2)
+
+    def test_attention_rule_with_no_periods(self, menu2):
+        enum = tc.enumerate_sets(menu2)
+        rule = tc.AttentionRule(u=np.zeros((0, 2 * enum.d_c)), set_index=enum, d_pref=2)
+        assert rule.d_t == 0
+
     def test_preference_distribution_validation(self):
         with pytest.raises(ValidationError):
             tc.PreferenceDistribution(np.array([0.5, 0.6]))
