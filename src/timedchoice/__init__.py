@@ -37,7 +37,6 @@ from .transform import (
     ChoiceTransform,
     block_diag,
     build_choice_transform,
-    conditional_choice_matrix,
     design_matrix,
     predict_choices,
 )
@@ -51,10 +50,8 @@ from .survival import (
 from .sampler import (
     SamplerConfig,
     initial_row_outside,
-    initial_row_singletons,
     sample_attention_rule,
     sample_attention_rules,
-    step,
 )
 from .estimator import EstimationResult, estimate, solve_p
 from .hyptest import (
@@ -84,7 +81,6 @@ from .lotteries import (
     crra_ordering_set,
     crra_ordering_table,
     crra_rank,
-    crra_utility,
     experiment_lotteries,
     experiment_menu,
 )
@@ -133,11 +129,9 @@ __all__ = [
     "build_choice_transform",
     "check_time_monotonicity",
     "cluster_times",
-    "conditional_choice_matrix",
     "crra_ordering_set",
     "crra_ordering_table",
     "crra_rank",
-    "crra_utility",
     "default_tau",
     "design_matrix",
     "enumerate_sets",
@@ -150,7 +144,6 @@ __all__ = [
     "gen_satisficing",
     "gen_topn",
     "initial_row_outside",
-    "initial_row_singletons",
     "kmeans_1d",
     "load_experiment_dataset",
     "load_experiment_lotteries",
@@ -162,7 +155,6 @@ __all__ = [
     "sample_attention_rule",
     "sample_attention_rules",
     "solve_p",
-    "step",
     "survivor_search",
     "test_statistic",
     "variance_weights",

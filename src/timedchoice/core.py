@@ -85,16 +85,6 @@ class ConsiderationSet:
         if self.mask <= 0:
             raise ValidationError("a consideration set must be nonempty")
 
-    @classmethod
-    def of(cls, indices) -> "ConsiderationSet":
-        mask = 0
-        for i in indices:
-            mask |= 1 << int(i)
-        return cls(mask)
-
-    def contains(self, item: int) -> bool:
-        return bool(self.mask >> item & 1)
-
     def members(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
 
@@ -475,21 +465,23 @@ class PreferenceDistribution:
 def accumulated_attention(
     rule: AttentionRule, pref: int, t: int, cset: ConsiderationSet
 ) -> float:
-    """Probability that attention stays within ``cset``.
+    """Probability that attention stays within ``cset``: alpha(cset | t).
 
-    Sums the attention mass of every admissible set contained in ``cset``
-    for the given preference block and period.  Equals one on the full menu.
+    The attention mass of every admissible set contained in ``cset`` for
+    the given preference block and period, read off the row's
+    :func:`zeta_transform`.  Equals one on the full menu.
     """
     if not (0 <= pref < rule.d_pref):
         raise ValidationError(f"preference index {pref} out of range")
     if not (0 <= t < rule.d_t):
         raise ValidationError(f"period index {t} out of range")
-    row = rule.block(pref)[t]
-    total = 0.0
-    for j, mask in enumerate(rule.set_index.masks):
-        if mask & cset.mask == mask:
-            total += row[j]
-    return float(total)
+    enum = rule.set_index
+    # Items outside the menu add no set; in outside mode a set without the
+    # outside item contains no admissible set at all.
+    mask = cset.mask & enum.masks[enum.full_index]
+    if mask not in enum.masks:
+        return 0.0
+    return float(zeta_transform(rule.block(pref)[t], enum)[enum.masks.index(mask)])
 
 
 @dataclass(frozen=True)

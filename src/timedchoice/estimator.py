@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +53,8 @@ class EstimationResult:
 
     ``per_sim_distances`` holds the minimized squared distance of every
     draw (sampled draws first, injected extras after), with ``inf`` marking
-    draws whose solve failed and was skipped.
+    draws whose solve failed and was skipped.  ``seed`` echoes an integer
+    sampler seed (NumPy integers included) and is ``None`` otherwise.
     """
 
     best_rule: AttentionRule
@@ -82,9 +84,6 @@ def solve_p(
     rule: AttentionRule,
     transform: ChoiceTransform,
     pi: ChoiceDataset,
-    *,
-    kkt_tol: float = KKT_TOL,
-    max_iter: int = 50_000,
 ) -> tuple[PreferenceDistribution, float]:
     """Best-fitting preference distribution for one attention rule.
 
@@ -94,15 +93,14 @@ def solve_p(
 
     Raises:
         ValidationError: the rule, transform and dataset do not fit together.
-        SolverError: the KKT residual did not reach ``kkt_tol``; the error
-            carries the best iterate found.
+        SolverError: the KKT residual did not reach
+            :data:`~timedchoice.solvers.KKT_TOL`; the error carries the best
+            iterate found.
     """
     if pi.d_t != rule.d_t or pi.n != transform.menu.n:
         raise ValidationError("dataset shape does not match rule/transform")
     m = design_matrix(rule, transform)
-    result = constrained_lstsq(
-        m, pi.vec(), kkt_tol=kkt_tol, max_iter=max_iter
-    )
+    result = constrained_lstsq(m, pi.vec())
     return PreferenceDistribution(result.p), float(result.objective)
 
 
@@ -123,16 +121,14 @@ def _score_pool(
     weights: NDArray[np.float64] | None = None,
     lower: float = 0.0,
     sum_constraint: bool = True,
-    kkt_tol: float = KKT_TOL,
-    max_iter: int = 50_000,
 ) -> _Pool:
     """Draw ``k`` rules, append ``extra_rules`` and fit every one to ``pi``.
 
     Draw i is sampled from child i of the sampler seed, so it depends only
     on the seed and i.  Each draw is scored by the (weighted) constrained
     least-squares objective; a draw whose KKT residual stays above
-    ``kkt_tol`` scores ``inf`` and can never win.  Ties go to the earliest
-    draw.
+    :data:`~timedchoice.solvers.KKT_TOL` scores ``inf`` and can never win.
+    Ties go to the earliest draw.
 
     Raises:
         ValidationError: ``k`` is below one.
@@ -158,10 +154,9 @@ def _score_pool(
             i += 1
         ms = design_matrix_batch(blocks, transform)
         p, obj, res = constrained_lstsq_batch(
-            ms, b, weights=weights, lower=lower, sum_constraint=sum_constraint,
-            kkt_tol=kkt_tol, max_iter=max_iter,
+            ms, b, weights=weights, lower=lower, sum_constraint=sum_constraint
         )
-        obj = np.where(res <= kkt_tol, obj, np.inf)
+        obj = np.where(res <= KKT_TOL, obj, np.inf)
         objectives[start:stop] = obj
         j = int(np.argmin(obj))
         if obj[j] < best_obj:
@@ -183,8 +178,6 @@ def estimate(
     sampler_config: SamplerConfig,
     *,
     extra_rules: tuple[AttentionRule, ...] = (),
-    kkt_tol: float = KKT_TOL,
-    max_iter: int = 50_000,
 ) -> EstimationResult:
     """Best-of-K simulation estimator of the preference distribution.
 
@@ -210,13 +203,8 @@ def estimate(
             )
         if rule.d_pref != orderings.d_pref or rule.d_t != pi.d_t:
             raise ValidationError("an injected rule has incompatible shape")
-    pool = _score_pool(
-        pi, transform, k, sampler_config,
-        extra_rules=extra_rules, kkt_tol=kkt_tol, max_iter=max_iter,
-    )
-    seed_echo = (
-        sampler_config.seed if isinstance(sampler_config.seed, int) else None
-    )
+    pool = _score_pool(pi, transform, k, sampler_config, extra_rules=extra_rules)
+    seed = sampler_config.seed
     return EstimationResult(
         best_rule=pool.best_rule,
         best_p=PreferenceDistribution(pool.best_p),
@@ -224,6 +212,6 @@ def estimate(
         best_index=pool.best_index,
         per_sim_distances=pool.objectives,
         n_sims=k,
-        seed=seed_echo,
+        seed=int(seed) if isinstance(seed, Integral) else None,
         failed_indices=tuple(np.flatnonzero(np.isinf(pool.objectives)).tolist()),
     )

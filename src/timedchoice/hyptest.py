@@ -30,6 +30,9 @@ from .transform import ChoiceTransform, build_choice_transform, design_matrix
 from .sampler import sample_attention_rule  # noqa: F401
 from .transform import design_matrix_batch  # noqa: F401
 
+#: Cell variances at or below this are dropped by the generalized inverse.
+WEIGHT_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class TestConfig:
@@ -44,8 +47,9 @@ class TestConfig:
         simplex_sum: keep the unit-sum constraint on the preference vector
             (matching the model).  Disable for the literal lower-bound-only
             minimization.
-        weight_floor: variances at or below this are dropped by the
-            generalized inverse.
+
+    Cell variances at or below :data:`WEIGHT_FLOOR` are dropped from the
+    weighting (see :func:`variance_weights`).
     """
 
     tau_n: float | None = None
@@ -53,7 +57,6 @@ class TestConfig:
     alpha: float = 0.05
     seed: int | np.random.SeedSequence | None = None
     simplex_sum: bool = True
-    weight_floor: float = 1e-12
 
     def __post_init__(self):
         if self.n_boot < 1:
@@ -70,13 +73,12 @@ class VarianceWeights:
 
     ``omega[i]`` estimates the variance of the i-th flattened choice
     frequency (``pi * (1 - pi) / n_t`` for its period); ``inverse[i]`` is
-    ``1 / omega[i]`` where the variance exceeds the floor and zero
-    otherwise, dropping degenerate cells from the quadratic form.
+    ``1 / omega[i]`` where the variance exceeds :data:`WEIGHT_FLOOR` and
+    zero otherwise, dropping degenerate cells from the quadratic form.
     """
 
     omega: NDArray[np.float64]
     inverse: NDArray[np.float64]
-    floor: float
 
 
 @dataclass(frozen=True)
@@ -115,15 +117,14 @@ class TestResult:
         )
 
 
-def _omega(pi_flat: NDArray, counts_per_cell: NDArray, floor: float):
+def _omega(pi_flat: NDArray, counts_per_cell: NDArray):
     omega = pi_flat * (1.0 - pi_flat) / counts_per_cell
-    inverse = np.where(omega > floor, 1.0 / np.where(omega > floor, omega, 1.0), 0.0)
+    kept = omega > WEIGHT_FLOOR
+    inverse = np.where(kept, 1.0 / np.where(kept, omega, 1.0), 0.0)
     return omega, inverse
 
 
-def variance_weights(
-    pi: ChoiceDataset, floor: float = 1e-12
-) -> VarianceWeights:
+def variance_weights(pi: ChoiceDataset) -> VarianceWeights:
     """Binomial variance estimates per cell with a generalized inverse.
 
     Raises:
@@ -134,8 +135,8 @@ def variance_weights(
     counts = np.repeat(np.asarray(pi.period_counts, dtype=np.float64), pi.n)
     if np.any(counts <= 0):
         raise ValidationError("period counts must be positive for weighting")
-    omega, inverse = _omega(pi.vec(), counts, floor)
-    return VarianceWeights(omega=omega, inverse=inverse, floor=floor)
+    omega, inverse = _omega(pi.vec(), counts)
+    return VarianceWeights(omega=omega, inverse=inverse)
 
 
 def default_tau(d_pref: int, n_total: int) -> float:
@@ -143,6 +144,17 @@ def default_tau(d_pref: int, n_total: int) -> float:
     if n_total <= 0:
         raise ValidationError("total sample size must be positive")
     return float(min(np.sqrt(np.log(d_pref) / n_total), 0.5 / d_pref))
+
+
+def _tau(tau_n: float | None, d_pref: int, pi: ChoiceDataset) -> float:
+    """``tau_n``, or :func:`default_tau` when it is ``None``, checked to be feasible."""
+    tau = tau_n if tau_n is not None else default_tau(d_pref, pi.total_count)
+    if tau > 1.0 / d_pref + 1e-12:
+        raise ConfigurationError(
+            f"tau_n={tau:g} exceeds 1/d_pref={1.0 / d_pref:g}; the constraint "
+            f"set is empty"
+        )
+    return tau
 
 
 def test_statistic(
@@ -167,17 +179,13 @@ def test_statistic(
         SolverError: the solve did not reach the KKT tolerance; the error
             carries the minimizer found and its residual.
     """
+    _tau(tau_n, transform.d_pref, pi)
     return _statistic(pi, design_matrix(rule, transform), weights, tau_n, n_total, simplex_sum)
 
 
 def _statistic(pi, m, weights, tau_n, n_total, simplex_sum):
     """:func:`test_statistic` on the rule's design matrix ``m``."""
     d = m.shape[1]
-    if tau_n > 1.0 / d + 1e-12:
-        raise ConfigurationError(
-            f"tau_n={tau_n:g} exceeds 1/d_pref={1.0 / d:g}; the constraint "
-            f"set is empty"
-        )
     if n_total is None:
         n_total = pi.total_count
     b = pi.vec()
@@ -232,14 +240,18 @@ def fit_test_rule(
     test reject data the pool could in fact explain.  A draw whose solve
     does not converge is skipped; only a fully failed pool raises
     :class:`~timedchoice.errors.SolverError`.
+
+    Raises:
+        ConfigurationError: infeasible shrinkage (``tau_n > 1 / d_pref``),
+            before any rule is drawn.
     """
     if sampler_config.d_t != pi.d_t:
         raise ValidationError("sampler periods do not match the dataset")
     enum = enumerate_sets(menu, outside_mode=sampler_config.outside_mode)
     transform = build_choice_transform(menu, enum, orderings)
-    weights = variance_weights(pi, floor=config.weight_floor)
+    weights = variance_weights(pi)
     d = orderings.d_pref
-    tau = config.tau_n if config.tau_n is not None else default_tau(d, pi.total_count)
+    tau = _tau(config.tau_n, d, pi)
     pool = _score_pool(
         pi, transform, n_sims, sampler_config,
         weights=weights.inverse, lower=tau / d, sum_constraint=config.simplex_sum,
@@ -266,6 +278,7 @@ def bootstrap_test(
     T_n with the ``ceil((1 - alpha) (L + 1))``-th order statistic.
 
     Raises:
+        ConfigurationError: infeasible shrinkage (``tau_n > 1 / d_pref``).
         SolverError: the statistic's own solve, or every replication's,
             did not converge.
     """
@@ -273,9 +286,9 @@ def bootstrap_test(
         raise ValidationError("bootstrap resampling needs per-period counts")
     d = transform.d_pref
     n_total = pi.total_count
-    tau = config.tau_n if config.tau_n is not None else default_tau(d, n_total)
+    tau = _tau(config.tau_n, d, pi)
 
-    weights = variance_weights(pi, floor=config.weight_floor)
+    weights = variance_weights(pi)
     m = design_matrix(rule, transform)
     t_n, p_min, eta = _statistic(pi, m, weights, tau, n_total, config.simplex_sum)
     degenerate = bool(np.all(weights.inverse == 0.0))
@@ -294,7 +307,7 @@ def bootstrap_test(
     pi_star = pi_star.reshape(L, d_t * n_items)
 
     counts_per_cell = np.repeat(counts.astype(np.float64), n_items)
-    omega_star, inv_star = _omega(pi_star, counts_per_cell[None, :], config.weight_floor)
+    _, inv_star = _omega(pi_star, counts_per_cell[None, :])
     targets = pi_star - b[None, :] + eta[None, :]
 
     _, obj_star, res_star = constrained_lstsq_batch(

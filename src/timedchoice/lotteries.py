@@ -52,14 +52,6 @@ class Lottery:
         return sum(x * x * q for x, q in self.outcomes) - e * e
 
 
-def crra_utility(x: float, sigma: float) -> float:
-    """CRRA utility of a sure payoff: x^(1-sigma)/(1-sigma), log at sigma=1."""
-    if sigma == 1.0:
-        return math.log(x) if x > 0 else -math.inf
-    s = 1.0 - sigma
-    return x**s / s
-
-
 def utility_key(lottery: Lottery, sigma: float):
     """Sort key ordering lotteries by expected CRRA utility at ``sigma``.
 

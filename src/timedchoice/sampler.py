@@ -45,9 +45,8 @@ from .core import (
     SetEnumeration,
     enumerate_sets,
     moebius_inverse,
-    zeta_transform,
 )
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError
 
 #: Step intervals shorter than this count as degenerate.
 GAMMA_FLOOR = 1e-12
@@ -80,35 +79,15 @@ class SamplerConfig:
             all nonempty sets are enumerated and each preference block
             starts from an independent uniform draw on the probability
             simplex over sets (a deterministic function of the seed).
-        initial_row: optional explicit starting row over the enumeration
-            (overrides the mode default for every block).
     """
 
     d_t: int
     seed: int | np.random.SeedSequence | None = None
     outside_mode: bool = True
-    initial_row: NDArray[np.float64] | None = None
 
     def __post_init__(self):
         if self.d_t < 1:
             raise ConfigurationError("d_t must be at least 1")
-        if self.initial_row is not None:
-            row = np.asarray(self.initial_row, dtype=np.float64)
-            if row.ndim != 1 or np.any(row < 0) or abs(row.sum() - 1.0) > 1e-9:
-                raise ConfigurationError(
-                    "initial_row must be a probability vector over the "
-                    "canonical set enumeration"
-                )
-            object.__setattr__(self, "initial_row", row)
-
-
-@dataclass(frozen=True)
-class StepResult:
-    """One chain move: the next row, the step size, and a degeneracy flag."""
-
-    row: NDArray[np.float64]
-    gamma: float
-    degenerate: bool
 
 
 def initial_row_outside(menu: Menu) -> NDArray[np.float64]:
@@ -121,15 +100,6 @@ def initial_row_outside(menu: Menu) -> NDArray[np.float64]:
         raise ConfigurationError("menu has no outside option configured")
     row = np.zeros(1 << (menu.n - 1))
     row[0] = 1.0
-    return row
-
-
-def initial_row_singletons(menu: Menu) -> NDArray[np.float64]:
-    """Starting row without an outside option: uniform over singletons."""
-    enum = enumerate_sets(menu, outside_mode=False)
-    row = np.zeros(enum.d_c)
-    for i in range(menu.n):
-        row[enum.index_of(1 << i)] = 1.0 / menu.n
     return row
 
 
@@ -319,43 +289,6 @@ def _step_rows(states, enum, rngs):
     )
 
 
-def step(
-    row: NDArray[np.float64],
-    enum: SetEnumeration,
-    rng: np.random.Generator,
-    direction: NDArray[np.float64] | None = None,
-) -> StepResult:
-    """One chain move from ``row``.
-
-    The returned row is a valid probability vector whose accumulated
-    attention is componentwise no larger than that of ``row`` (equal on the
-    full menu).  A degenerate feasible interval produces a zero step with
-    ``degenerate=True``.  ``direction`` overrides the random draw (used for
-    diagnostics and tests); it must keep accumulated attention nonincreasing.
-    """
-    states = np.asarray(row, dtype=np.float64)[None, :]
-    if states.shape[1] != enum.d_c:
-        raise ValidationError("row length does not match the set enumeration")
-    if direction is not None:
-        xi = np.asarray(direction, dtype=np.float64)[None, :]
-        psi = zeta_transform(xi, enum)
-        if np.any(np.delete(psi, enum.full_index, axis=1) > 1e-9) or (
-            abs(psi[0, enum.full_index]) > 1e-9
-        ):
-            raise ValidationError(
-                "direction must have nonpositive accumulated image and "
-                "preserve total mass"
-            )
-        gmax = float(_max_step(states, xi)[0])
-        if not np.isfinite(gmax):
-            gmax = 0.0
-        gamma = float(rng.uniform()) * gmax
-        new = np.clip(states + gamma * xi, 0.0, 1.0)
-        return StepResult(new[0], gamma, gmax <= GAMMA_FLOOR)
-    new, gamma, degen = _step_rows(states[None], enum, [rng])
-    return StepResult(new[0, 0], float(gamma[0, 0]), bool(degen[0, 0]))
-
-
 def _initial_states(
     enum: SetEnumeration,
     config: SamplerConfig,
@@ -363,17 +296,8 @@ def _initial_states(
     rngs: list[np.random.Generator],
 ) -> NDArray[np.float64]:
     """``(n, d_pref, d_c)`` starting rows, one rule per generator."""
-    shape = (len(rngs), d_pref, enum.d_c)
-    if config.initial_row is not None:
-        init = np.asarray(config.initial_row, dtype=np.float64)
-        if init.shape[0] != enum.d_c:
-            raise ConfigurationError(
-                f"initial_row has length {init.shape[0]}, enumeration has "
-                f"{enum.d_c} sets"
-            )
-        return np.broadcast_to(init, shape).copy()
     if config.outside_mode:
-        states = np.zeros(shape)
+        states = np.zeros((len(rngs), d_pref, enum.d_c))
         states[:, :, 0] = 1.0  # the outside-only set, see initial_row_outside
         return states
     # A fixed starting row would make every sampled rule (and anything
@@ -409,8 +333,8 @@ def sample_attention_rule(
 ) -> AttentionRule:
     """Draw one attention rule satisfying time monotonicity.
 
-    Runs an independent chain per preference block from the configured
-    initial row.  One seeded generator drives the whole rule; the blocks
+    Runs an independent chain per preference block from the mode's
+    starting row (see :class:`SamplerConfig`).  One seeded generator drives the whole rule; the blocks
     advance in lockstep on jointly independent draws.  Identical
     (menu, orderings, config) inputs reproduce the rule bit for bit.
     """

@@ -159,13 +159,3 @@ def design_matrix_batch(
     cols = np.einsum("ktpc,pcn->ktnp", blocks, transform.onehot(), optimize=True)
     return cols.reshape(k, d_t * transform.menu.n, transform.d_pref)
 
-
-def conditional_choice_matrix(
-    rule: AttentionRule, transform: ChoiceTransform
-) -> NDArray[np.float64]:
-    """Choice probabilities conditional on preference type.
-
-    Shape (d_t, n * d_pref) with columns item-major then preference,
-    equal to the attention matrix times the choice transform.
-    """
-    return design_matrix(rule, transform).reshape(rule.d_t, -1)

@@ -11,6 +11,27 @@ from timedchoice.errors import ConfigurationError, ValidationError
 from conftest import brute_force_best, random_attention_rule
 
 
+class TestPublicSurface:
+    def test_every_exported_name_resolves_once(self):
+        assert len(tc.__all__) == len(set(tc.__all__))
+        for name in tc.__all__:
+            getattr(tc, name)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "step",
+            "StepResult",
+            "initial_row_singletons",
+            "conditional_choice_matrix",
+            "crra_utility",
+        ],
+    )
+    def test_removed_names_are_not_exported(self, name):
+        assert name not in tc.__all__
+        assert not hasattr(tc, name)
+
+
 class TestMenu:
     def test_needs_two_items(self):
         with pytest.raises(ValidationError):
@@ -100,6 +121,23 @@ class TestAccumulatedAttention:
         # Direct subset sum over the stated masses: only {c} itself.
         got = tc.accumulated_attention(forgetting_rule, 0, 1, tc.ConsiderationSet(0b100))
         assert got == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("outside_mode", [False, True])
+    def test_matches_zeta_transform(self, menu3_outside, outside_mode):
+        enum = tc.enumerate_sets(menu3_outside, outside_mode=outside_mode)
+        rule = random_attention_rule(enum, 2, 3, np.random.default_rng(5))
+        alpha = tc.zeta_transform(rule.blocks(), enum)
+        for pref in range(2):
+            for t in range(3):
+                for j, mask in enumerate(enum.masks):
+                    got = tc.accumulated_attention(rule, pref, t, tc.ConsiderationSet(mask))
+                    assert got == pytest.approx(alpha[t, pref, j], abs=1e-12)
+        if outside_mode:
+            # {a, b} lacks the outside item o, so it contains no admissible set.
+            assert tc.accumulated_attention(rule, 0, 0, tc.ConsiderationSet(0b011)) == 0.0
+        for pref, t in ((2, 0), (-1, 0), (0, 3), (0, -1)):
+            with pytest.raises(ValidationError, match="out of range"):
+                tc.accumulated_attention(rule, pref, t, tc.ConsiderationSet(0b111))
 
 
 class TestTimeMonotonicity:

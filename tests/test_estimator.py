@@ -1,10 +1,13 @@
 import hashlib
+import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import timedchoice as tc
 import timedchoice.estimator as est
+from timedchoice import dataio
 from timedchoice.errors import SolverError, ValidationError
 
 from conftest import random_attention_rule
@@ -211,6 +214,16 @@ class TestEstimate:
         np.testing.assert_array_equal(a.per_sim_distances, b.per_sim_distances)
         np.testing.assert_array_equal(a.per_sim_distances, as_int.per_sim_distances)
         assert a.best_distance == b.best_distance
+
+    def test_numpy_integer_seed_is_echoed(self, menu3, orderings3):
+        pi = tc.ChoiceDataset(pi=np.random.default_rng(2).dirichlet(np.ones(3), size=3))
+        config = tc.SamplerConfig(d_t=3, seed=np.int64(3), outside_mode=False)
+        result = tc.estimate(pi, menu3, orderings3, 4, config)
+        assert result.seed == 3 and type(result.seed) is int
+        doc = dataio.estimation_to_json(result, menu3, orderings3)
+        assert json.loads(json.dumps(doc))["seed"] == 3
+        seq = replace(config, seed=np.random.SeedSequence(3))
+        assert tc.estimate(pi, menu3, orderings3, 4, seq).seed is None
 
     def test_needs_at_least_one_simulation(self, menu3, orderings3):
         pi = tc.ChoiceDataset(pi=np.random.default_rng(0).dirichlet(np.ones(3), size=3))

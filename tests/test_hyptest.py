@@ -200,8 +200,8 @@ class TestBootstrapTest:
         )
         real = ht._omega
 
-        def scaled(pi_flat, counts, floor):
-            omega, inverse = real(pi_flat, counts, floor)
+        def scaled(pi_flat, counts):
+            omega, inverse = real(pi_flat, counts)
             return omega * 3.0, inverse / 3.0
 
         monkeypatch.setattr(ht, "_omega", scaled)
@@ -256,6 +256,28 @@ class TestFitTestRule:
         b, _ = tc.fit_test_rule(pi, menu3, orderings3, 12, config)
         assert seed.n_children_spawned == 0
         np.testing.assert_array_equal(a.u, b.u)
+
+    def test_infeasible_shrinkage_raises_before_any_draw(
+        self, setup3, menu3, orderings3, monkeypatch
+    ):
+        _, transform, rule = setup3
+        pi = sampled_dataset(
+            rule, transform, tc.PreferenceDistribution.uniform(6), (400,) * 3, 8
+        )
+        config = tc.TestConfig(tau_n=0.5)  # above 1 / d_pref = 1/6
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a rule pool was drawn")
+
+        monkeypatch.setattr(est, "_rule_blocks", no_draws)
+        with pytest.raises(ConfigurationError) as fit_error:
+            tc.fit_test_rule(
+                pi, menu3, orderings3, 50,
+                tc.SamplerConfig(d_t=3, seed=0, outside_mode=False), config,
+            )
+        with pytest.raises(ConfigurationError) as boot_error:
+            tc.bootstrap_test(pi, rule, transform, config)
+        assert str(fit_error.value) == str(boot_error.value)
 
     def test_unconverged_draws_are_never_selected(self, menu3, orderings3, monkeypatch):
         truth = tc.sample_attention_rule(

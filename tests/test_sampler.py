@@ -49,32 +49,8 @@ class TestInitialRows:
         with pytest.raises(ConfigurationError):
             tc.initial_row_outside(menu3)
 
-    def test_singleton_start(self, menu3):
-        row = tc.initial_row_singletons(menu3)
-        enum = tc.enumerate_sets(menu3)
-        assert row.sum() == pytest.approx(1.0)
-        for i in range(3):
-            assert row[enum.index_of(1 << i)] == pytest.approx(1 / 3)
-
 
 class TestStep:
-    def test_zero_direction_returns_row_unchanged(self, menu3):
-        enum = tc.enumerate_sets(menu3)
-        row = np.full(enum.d_c, 1.0 / enum.d_c)
-        rng = np.random.default_rng(0)
-        result = tc.step(row, enum, rng, direction=np.zeros(enum.d_c))
-        assert result.degenerate
-        np.testing.assert_array_equal(result.row, row)
-
-    def test_invalid_direction_rejected(self, menu3):
-        enum = tc.enumerate_sets(menu3)
-        rng = np.random.default_rng(0)
-        bad = np.zeros(enum.d_c)
-        bad[0] = 1.0
-        bad[enum.full_index] = -1.0  # raises attention on the singleton
-        with pytest.raises(Exception):
-            tc.step(np.full(enum.d_c, 1.0 / enum.d_c), enum, rng, direction=bad)
-
     def test_outside_singleton_mass_never_increases(self):
         menu = tc.Menu(items=("a", "b", "o"), outside_index=2)
         enum = tc.enumerate_sets(menu, outside_mode=True)
@@ -132,26 +108,13 @@ class TestSampleAttentionRule:
         assert violations == 0
 
     def test_explicit_initial_row(self, menu3, orderings3):
+        """Full-menu vertex is absorbing: attention cannot shrink later."""
         enum = tc.enumerate_sets(menu3)
         init = np.zeros(enum.d_c)
         init[enum.full_index] = 1.0
-        config = tc.SamplerConfig(
-            d_t=4, seed=0, outside_mode=False, initial_row=init
-        )
-        rule = tc.sample_attention_rule(menu3, orderings3, config)
-        # Full-menu vertex is absorbing: attention cannot shrink later.
+        (chain,) = _chains(init, enum, orderings3.d_pref, 4, [0])
         for t in range(4):
-            np.testing.assert_array_equal(rule.block(0)[t], init)
-
-    def test_wrong_initial_row_length(self, menu3, orderings3):
-        with pytest.raises(ConfigurationError):
-            tc.sample_attention_rule(
-                menu3,
-                orderings3,
-                tc.SamplerConfig(
-                    d_t=2, outside_mode=False, initial_row=np.array([0.5, 0.5])
-                ),
-            )
+            np.testing.assert_array_equal(chain[t], np.tile(init, (orderings3.d_pref, 1)))
 
     def test_chain_leaves_the_outside_vertex(self):
         menu = tc.Menu(items=("a", "b", "o"), outside_index=2)
@@ -186,12 +149,25 @@ class TestSampleAttentionRule:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             tc.SamplerConfig(d_t=0)
-        with pytest.raises(ConfigurationError):
-            tc.SamplerConfig(d_t=2, initial_row=np.array([0.5, 0.2]))
 
 
 def _digest(rules):
     return hashlib.sha256(np.stack([rule.u for rule in rules]).tobytes()).hexdigest()
+
+
+def _chains(init, enum, d_pref, d_t, seeds):
+    """``(n, d_t, d_pref, d_c)`` chains from ``init`` in every block, one per seed.
+
+    Steps the stack with :func:`_step_rows` as the sampler does after its
+    start row, on ``np.random.default_rng(seed)`` per rule.
+    """
+    rngs = [np.random.default_rng(s) for s in seeds]
+    states = np.broadcast_to(init, (len(rngs), d_pref, enum.d_c)).copy()
+    rows = [states]
+    for _ in range(d_t - 1):
+        states = _step_rows(states, enum, rngs)[0]
+        rows.append(states)
+    return np.stack(rows, axis=1)
 
 
 def _reference_rule(menu, orderings, config):
@@ -225,9 +201,7 @@ def _reference_rule(menu, orderings, config):
         direction[bad] = 0.0
         return direction, gmax
 
-    if config.initial_row is not None:
-        states = np.tile(config.initial_row, (d_pref, 1))
-    elif config.outside_mode:
+    if config.outside_mode:
         states = np.tile(tc.initial_row_outside(menu), (d_pref, 1))
     else:
         states = rng.dirichlet(np.ones(d_c), size=d_pref)
@@ -278,12 +252,12 @@ class TestLockstepPool:
         )
 
     def test_explicit_initial_row_pool(self, menu3, orderings3):
+        """A pool stepped from a sparse start row: most steps take the fallback."""
         enum = tc.enumerate_sets(menu3)
         init = np.zeros(enum.d_c)
         init[0], init[3], init[enum.full_index] = 0.5, 0.25, 0.25
-        config = tc.SamplerConfig(d_t=4, seed=11, outside_mode=False, initial_row=init)
-        pool = tc.sample_attention_rules(menu3, orderings3, config, 100)
-        assert _digest(pool) == (
+        pool = _chains(init, enum, orderings3.d_pref, 4, child_seeds(11, 100))
+        assert hashlib.sha256(pool.tobytes()).hexdigest() == (
             "21ceaa06d33b57414370ab4138511b768d6b1a808f5e8d6d683d022300aac7f5"
         )
 
@@ -360,14 +334,14 @@ class TestLockstepPool:
         enum = tc.enumerate_sets(menu, outside_mode=False)
         init = np.zeros(enum.d_c)
         init[0] = 1.0
-        config = tc.SamplerConfig(d_t=2, seed=3, outside_mode=False, initial_row=init)
         tracemalloc.start()
         try:
-            rule = tc.sample_attention_rule(menu, orderings, config)
+            (chain,) = _chains(init, enum, orderings.d_pref, 2, [3])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 120e6, peak
+        rule = tc.AttentionRule(u=chain.reshape(2, -1), set_index=enum, d_pref=orderings.d_pref)
         assert tc.check_time_monotonicity(rule).passed
         assert _digest([rule]) == (
             "3f28da9d690895b6d19d0263fae54102e653c7fa7ec6f02b76d1ac17987a47a0"

@@ -303,7 +303,7 @@ class TestLockstepPolishOracle:
             [rng.multinomial(counts[t], pi.pi[t], size=L) / counts[t] for t in range(pi.d_t)],
             axis=1,
         ).reshape(L, -1)
-        _, inv_star = _omega(pi_star, np.repeat(counts.astype(float), pi.n)[None, :], 1e-12)
+        _, inv_star = _omega(pi_star, np.repeat(counts.astype(float), pi.n)[None, :])
         eta = m @ np.full(d, 1.0 / d)
         targets = pi_star - pi.vec()[None, :] + eta[None, :]
         kw = dict(weights=inv_star, lower=default_tau(d, pi.total_count) / d)

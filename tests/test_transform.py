@@ -222,11 +222,13 @@ class TestDesignMatrix:
 
 
 class TestConditionalChoiceMatrix:
+    """The design matrix read as (period, item-major then preference)."""
+
     def test_shape_and_block_content(self, menu3, orderings3):
         enum = tc.enumerate_sets(menu3)
         transform = tc.build_choice_transform(menu3, enum, orderings3)
         rule = random_attention_rule(enum, 6, 3, np.random.default_rng(8))
-        cond = tc.conditional_choice_matrix(rule, transform)
+        cond = tc.design_matrix(rule, transform).reshape(rule.d_t, -1)
         assert cond.shape == (3, 18)
         np.testing.assert_allclose(cond, rule.u @ transform.a, rtol=0, atol=1e-15)
         # Column item*d_pref + i holds preference-i's probability of the item.
