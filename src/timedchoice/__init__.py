@@ -85,7 +85,7 @@ from .lotteries import (
     experiment_menu,
 )
 from .clustering import RawObservation, TimeClustering, cluster_times, kmeans_1d
-from .dataio import load_experiment_dataset, load_experiment_lotteries
+from .dataio import load_experiment_dataset
 
 __version__ = "0.1.0"
 
@@ -146,7 +146,6 @@ __all__ = [
     "initial_row_outside",
     "kmeans_1d",
     "load_experiment_dataset",
-    "load_experiment_lotteries",
     "lower_contour_sum",
     "mm_accumulation",
     "moebius_inverse",

@@ -53,6 +53,8 @@ def _resolve_outside(menu: Menu, label: str | None, no_outside: bool) -> Menu:
             "outside mode needs an outside item; pass --outside LABEL or "
             "--no-outside"
         )
+    if label not in menu.items:
+        raise ValidationError(f"--outside {label!r} is not a column of --pi")
     return Menu(items=menu.items, outside_index=menu.items.index(label))
 
 

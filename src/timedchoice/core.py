@@ -417,10 +417,6 @@ class AttentionRule:
     def d_c(self) -> int:
         return self.set_index.d_c
 
-    @property
-    def d_u(self) -> int:
-        return self.u.shape[1]
-
     def block(self, pref: int) -> NDArray[np.float64]:
         """(d_t, d_c) attention rows for one preference type."""
         d_c = self.d_c

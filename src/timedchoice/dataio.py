@@ -47,20 +47,46 @@ def write_pi_csv(path, pi: ChoiceDataset, menu: Menu) -> None:
             writer.writerow([label, *[repr(float(v)) for v in pi.pi[t]]])
 
 
-def read_pi_csv(path, outside_label: str | None = None) -> tuple[ChoiceDataset, Menu]:
-    """Read a choice-frequency table; the header defines the menu."""
+def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header and ``(line, cells)`` rows of a CSV file; blank lines are skipped.
+
+    Raises:
+        ValidationError: a row is not as wide as the header.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "period":
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = []
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ValidationError(
+                    f"{path}, line {reader.line_num}: {len(cells)} values, "
+                    f"expected {len(header)}"
+                )
+            rows.append((reader.line_num, cells))
+    return header, rows
+
+
+def _number(path, line: int, text: str, kind=float):
+    """``kind(text)``, or a ValidationError naming the file and line."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{path}, line {line}: {text!r} is not a number") from None
+
+
+def read_pi_csv(path) -> tuple[ChoiceDataset, Menu]:
+    """Read a choice-frequency table; the header defines the menu."""
+    header, rows = _read_table(path)
+    if header[:1] != ["period"]:
         raise ValidationError(f"{path}: expected a header starting with 'period'")
-    labels = tuple(rows[0][1:])
-    outside = labels.index(outside_label) if outside_label else None
-    if outside_label and outside_label not in labels:
-        raise ValidationError(f"{path}: outside label {outside_label!r} not a column")
-    menu = Menu(items=labels, outside_index=outside)
-    period_labels = tuple(r[0] for r in rows[1:])
-    pi = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    return ChoiceDataset(pi=pi, period_labels=period_labels), menu
+    pi = np.array([[_number(path, line, v) for v in r[1:]] for line, r in rows])
+    return (
+        ChoiceDataset(pi=pi, period_labels=tuple(r[0] for _, r in rows)),
+        Menu(items=tuple(header[1:])),
+    )
 
 
 def write_counts_csv(path, counts) -> None:
@@ -72,31 +98,28 @@ def write_counts_csv(path, counts) -> None:
 
 
 def read_counts_csv(path) -> tuple[int, ...]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["period", "count"]:
+    header, rows = _read_table(path)
+    if header != ["period", "count"]:
         raise ValidationError(f"{path}: expected header 'period,count'")
-    return tuple(int(r[1]) for r in rows[1:])
+    return tuple(_number(path, line, r[1], int) for line, r in rows)
 
 
 def read_observations_csv(path):
     from .clustering import RawObservation
 
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"respondent_id", "stopping_time", "choice"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValidationError(
-                f"{path}: expected columns respondent_id,stopping_time,choice"
-            )
-        return [
-            RawObservation(
-                respondent_id=row["respondent_id"],
-                stopping_time=float(row["stopping_time"]),
-                choice=row["choice"],
-            )
-            for row in reader
-        ]
+    header, rows = _read_table(path)
+    names = ("respondent_id", "stopping_time", "choice")
+    if not set(names) <= set(header):
+        raise ValidationError(f"{path}: expected columns {','.join(names)}")
+    rid, time, choice = (header.index(c) for c in names)
+    return [
+        RawObservation(
+            respondent_id=r[rid],
+            stopping_time=_number(path, line, r[time]),
+            choice=r[choice],
+        )
+        for line, r in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +270,3 @@ def load_experiment_dataset() -> tuple[ChoiceDataset, Menu]:
         ),
         menu,
     )
-
-
-def load_experiment_lotteries() -> tuple[Lottery, ...]:
-    doc = json.loads(_data_text("experiment_lotteries.json"))
-    return lotteries_from_json(doc)

@@ -18,8 +18,8 @@ class ConfigurationError(TimedChoiceError, ValueError):
 class SolverError(TimedChoiceError, RuntimeError):
     """A numerical solver failed to converge.
 
-    Carries the best iterate found and its KKT residual so callers can
-    decide whether the partial answer is still usable.
+    ``iterate`` is the ``p`` array found and ``residual`` its KKT residual,
+    so callers can decide whether the partial answer is still usable.
     """
 
     def __init__(self, message: str, *, iterate=None, residual: float | None = None):

@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import SolverError, ValidationError
 from .sampler import SamplerConfig, _rule_blocks, child_seeds
-from .solvers import KKT_TOL, constrained_lstsq, constrained_lstsq_batch
+from .solvers import KKT_TOL, constrained_lstsq_batch, single_solution
 from .transform import (
     ChoiceTransform,
     build_choice_transform,
@@ -94,14 +94,14 @@ def solve_p(
     Raises:
         ValidationError: the rule, transform and dataset do not fit together.
         SolverError: the KKT residual did not reach
-            :data:`~timedchoice.solvers.KKT_TOL`; the error carries the best
-            iterate found.
+            :data:`~timedchoice.solvers.KKT_TOL`; the error carries the ``p``
+            array found and its residual.
     """
     if pi.d_t != rule.d_t or pi.n != transform.menu.n:
         raise ValidationError("dataset shape does not match rule/transform")
     m = design_matrix(rule, transform)
-    result = constrained_lstsq(m, pi.vec())
-    return PreferenceDistribution(result.p), float(result.objective)
+    p, distance = single_solution(constrained_lstsq_batch(m[None], pi.vec()), "the fit")
+    return PreferenceDistribution(p), distance
 
 
 class _Pool(NamedTuple):

@@ -23,7 +23,7 @@ from numpy.typing import NDArray
 from .core import AttentionRule, ChoiceDataset, Menu, OrderingSet, PreferenceDistribution, enumerate_sets
 from .errors import ConfigurationError, SolverError, ValidationError
 from .estimator import _score_pool
-from .solvers import KKT_TOL, constrained_lstsq_batch
+from .solvers import KKT_TOL, constrained_lstsq_batch, single_solution
 from .transform import ChoiceTransform, build_choice_transform, design_matrix
 
 # Not called here; bench/tracing.py looks both names up in this module.
@@ -163,32 +163,28 @@ def test_statistic(
     transform: ChoiceTransform,
     weights: VarianceWeights,
     tau_n: float,
-    n_total: int | None = None,
     *,
     simplex_sum: bool = True,
 ) -> tuple[float, PreferenceDistribution, NDArray[np.float64]]:
     """Weighted minimum-distance statistic for a fixed attention rule.
 
-    Minimizes ``n * (pi - M p)' diag(inverse) (pi - M p)`` over preference
-    vectors with every component at least ``tau_n / d_pref`` (and unit sum
-    unless ``simplex_sum`` is off).  Returns the statistic, the minimizer,
+    Minimizes ``n * (pi - M p)' diag(inverse) (pi - M p)``, ``n`` the total
+    count, over preference vectors with every component at least
+    ``tau_n / d_pref`` (and unit sum unless ``simplex_sum`` is off).  Returns the statistic, the minimizer,
     and the fitted frequency vector used to recenter the bootstrap.
 
     Raises:
         ConfigurationError: infeasible shrinkage (``tau_n > 1 / d_pref``).
         SolverError: the solve did not reach the KKT tolerance; the error
-            carries the minimizer found and its residual.
+            carries the ``p`` array found and its residual.
     """
     _tau(tau_n, transform.d_pref, pi)
-    return _statistic(pi, design_matrix(rule, transform), weights, tau_n, n_total, simplex_sum)
+    return _statistic(pi, design_matrix(rule, transform), weights, tau_n, simplex_sum)
 
 
-def _statistic(pi, m, weights, tau_n, n_total, simplex_sum):
+def _statistic(pi, m, weights, tau_n, simplex_sum):
     """:func:`test_statistic` on the rule's design matrix ``m``."""
     d = m.shape[1]
-    if n_total is None:
-        n_total = pi.total_count
-    b = pi.vec()
     if np.all(weights.inverse == 0.0):
         warnings.warn(
             "all variance weights are zero; the statistic degenerates to 0",
@@ -196,22 +192,13 @@ def _statistic(pi, m, weights, tau_n, n_total, simplex_sum):
         )
         p0 = np.full(d, 1.0 / d)
         return 0.0, PreferenceDistribution(p0), m @ p0
-    p, obj, res = constrained_lstsq_batch(
-        m[None],
-        b,
-        weights=weights.inverse,
-        lower=tau_n / d,
-        total=1.0,
-        sum_constraint=simplex_sum,
+    p, obj = single_solution(
+        constrained_lstsq_batch(
+            m[None], pi.vec(), weights=weights.inverse, lower=tau_n / d,
+            sum_constraint=simplex_sum,
+        ),
+        "test statistic",
     )
-    p = p[0]
-    if not res[0] <= KKT_TOL:
-        raise SolverError(
-            f"test statistic did not reach KKT residual {KKT_TOL:g} "
-            f"(got {res[0]:g})",
-            iterate=p,
-            residual=float(res[0]),
-        )
     if not simplex_sum:
         # Without the sum constraint p is only bounded below; it is not a
         # distribution, so report the raw minimizer normalized for storage.
@@ -219,7 +206,7 @@ def _statistic(pi, m, weights, tau_n, n_total, simplex_sum):
     else:
         p_store = p
     eta = m @ p
-    return float(n_total * obj[0]), PreferenceDistribution(p_store), eta
+    return pi.total_count * obj, PreferenceDistribution(p_store), eta
 
 
 def fit_test_rule(
@@ -285,15 +272,13 @@ def bootstrap_test(
     if pi.period_counts is None:
         raise ValidationError("bootstrap resampling needs per-period counts")
     d = transform.d_pref
-    n_total = pi.total_count
     tau = _tau(config.tau_n, d, pi)
 
     weights = variance_weights(pi)
     m = design_matrix(rule, transform)
-    t_n, p_min, eta = _statistic(pi, m, weights, tau, n_total, config.simplex_sum)
+    t_n, p_min, eta = _statistic(pi, m, weights, tau, config.simplex_sum)
     degenerate = bool(np.all(weights.inverse == 0.0))
 
-    b = pi.vec()
     rng = np.random.default_rng(config.seed)
     L = config.n_boot
     counts = np.asarray(pi.period_counts)
@@ -308,18 +293,17 @@ def bootstrap_test(
 
     counts_per_cell = np.repeat(counts.astype(np.float64), n_items)
     _, inv_star = _omega(pi_star, counts_per_cell[None, :])
-    targets = pi_star - b[None, :] + eta[None, :]
+    targets = pi_star - pi.vec()[None, :] + eta[None, :]
 
     _, obj_star, res_star = constrained_lstsq_batch(
         np.broadcast_to(m, (L,) + m.shape),
         targets,
         weights=inv_star,
         lower=tau / d,
-        total=1.0,
         sum_constraint=config.simplex_sum,
     )
     converged = res_star <= KKT_TOL
-    t_star = n_total * obj_star[converged]
+    t_star = pi.total_count * obj_star[converged]
     L = t_star.size
     if L == 0:
         raise SolverError("no bootstrap replication converged")

@@ -247,8 +247,7 @@ def _step_rows(states, enum, rngs):
     ``states`` is ``(n, d_pref, d_c)``: rule i's rows, stepped on generator
     ``rngs[i]``.  Each generator draws the same numbers in the same order
     as it would stepping its rule alone, so the block's rows equal those of
-    one rule at a time bit for bit.  Returns (rows, gammas, degenerate),
-    the last two shaped ``(n, d_pref)``.
+    one rule at a time bit for bit.  Returns the stepped rows.
     """
     n, d_pref, d_c = states.shape
     rows = states.reshape(n * d_pref, d_c)
@@ -282,11 +281,7 @@ def _step_rows(states, enum, rngs):
     gamma = gamma.reshape(-1) * gmax
     new = rows + gamma[:, None] * xi
     np.clip(new, 0.0, 1.0, out=new)
-    return (
-        new.reshape(n, d_pref, d_c),
-        gamma.reshape(n, d_pref),
-        (gmax <= GAMMA_FLOOR).reshape(n, d_pref),
-    )
+    return new.reshape(n, d_pref, d_c)
 
 
 def _initial_states(
@@ -297,9 +292,7 @@ def _initial_states(
 ) -> NDArray[np.float64]:
     """``(n, d_pref, d_c)`` starting rows, one rule per generator."""
     if config.outside_mode:
-        states = np.zeros((len(rngs), d_pref, enum.d_c))
-        states[:, :, 0] = 1.0  # the outside-only set, see initial_row_outside
-        return states
+        return np.tile(initial_row_outside(enum.menu), (len(rngs), d_pref, 1))
     # A fixed starting row would make every sampled rule (and anything
     # generated from one) agree exactly in the first period, collapsing the
     # pool's diversity there; draw each block's start uniformly instead.
@@ -323,7 +316,7 @@ def _rule_blocks(enum, d_pref, config, seeds):
         out = np.empty((len(rngs), config.d_t, d_pref, enum.d_c))
         out[:, 0] = states
         for t in range(1, config.d_t):
-            states = _step_rows(states, enum, rngs)[0]
+            states = _step_rows(states, enum, rngs)
             out[:, t] = states
         yield out
 

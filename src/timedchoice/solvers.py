@@ -1,7 +1,7 @@
 """Simplex-constrained (weighted) least squares.
 
 Solves ``min_p ||W^(1/2) (M p - b)||^2`` subject to ``p >= lower`` and,
-optionally, ``sum(p) = total``.  Problems of this shape are small (a few
+optionally, ``sum(p) = 1``.  Problems of this shape are small (a few
 to a few hundred variables) but arrive in large batches, one per simulated
 attention rule or bootstrap replication, so the implementation works on
 stacked Gram matrices.  One window of accelerated projected gradient
@@ -21,8 +21,6 @@ the warm start decides which minimizer is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -40,29 +38,17 @@ SUPPORT_TOL = 1e-12
 #: starts the exact polish, which settles the active face from there.
 FISTA_WINDOW = 32
 
-
-@dataclass(frozen=True)
-class LstsqResult:
-    """Solution bundle of one constrained least-squares problem.
-
-    ``objective`` is the weighted squared residual norm at ``p``;
-    ``kkt_residual`` the normalized stationarity gap (see
-    :func:`kkt_residual`).
-    """
-
-    p: NDArray[np.float64]
-    objective: float
-    kkt_residual: float
-    converged: bool
+#: Accelerated-gradient iteration budget of :func:`constrained_lstsq_batch`.
+MAX_ITER = 50_000
 
 
-def project_simplex(v: NDArray, total: float = 1.0) -> NDArray:
-    """Euclidean projection of each row of ``v`` onto the scaled simplex."""
+def project_simplex(v: NDArray) -> NDArray:
+    """Euclidean projection of each row of ``v`` onto the probability simplex."""
     v = np.asarray(v, dtype=np.float64)
     shape = v.shape
     flat = v.reshape(-1, shape[-1])
     srt = np.sort(flat, axis=1)[:, ::-1]
-    csum = np.cumsum(srt, axis=1) - total
+    csum = np.cumsum(srt, axis=1) - 1.0
     arange = np.arange(1, shape[-1] + 1)
     cond = srt - csum / arange > 0
     rho = shape[-1] - np.argmax(cond[:, ::-1], axis=1) - 1
@@ -71,15 +57,11 @@ def project_simplex(v: NDArray, total: float = 1.0) -> NDArray:
     return out.reshape(shape)
 
 
-def _grams(M: NDArray, b: NDArray, w: NDArray | None):
+def _grams(M: NDArray, b: NDArray, w: NDArray):
     """Batched Gram matrices G = M'WM and linear terms h = M'Wb."""
-    if w is None:
-        G = np.einsum("kmi,kmj->kij", M, M, optimize=True)
-        h = np.einsum("kmi,km->ki", M, b, optimize=True)
-    else:
-        Mw = M * w[:, :, None]
-        G = np.einsum("kmi,kmj->kij", Mw, M, optimize=True)
-        h = np.einsum("kmi,km->ki", Mw, b, optimize=True)
+    Mw = M * w[:, :, None]
+    G = np.einsum("kmi,kmj->kij", Mw, M, optimize=True)
+    h = np.einsum("kmi,km->ki", Mw, b, optimize=True)
     return G, h
 
 
@@ -106,16 +88,15 @@ def kkt_residual(
     return np.maximum(res, 0.0) / scale
 
 
-def _fista(G, h, r0, total, *, sum_constraint, max_iter, tol):
+def _fista(G, h, r0, *, sum_constraint, max_iter, tol):
     """Accelerated projected gradient on the batch; returns (r, iterations)."""
-    k, d = r0.shape
     lips = 2.0 * np.linalg.eigvalsh(G)[:, -1]
     lips = np.maximum(lips, 1e-300)
     step = (1.0 / lips)[:, None]
 
     def proj(v):
         if sum_constraint:
-            return project_simplex(v, total)
+            return project_simplex(v)
         return np.maximum(v, 0.0)
 
     r = proj(r0.copy())
@@ -139,7 +120,7 @@ def _fista(G, h, r0, total, *, sum_constraint, max_iter, tol):
     return r, it
 
 
-def _polish_batch(G, h, r, *, total, sum_constraint):
+def _polish_batch(G, h, r, *, sum_constraint):
     """Exact active-set refinement of a batch of problems in Gram form.
 
     Every problem follows its own active-set path: start from the support
@@ -177,7 +158,7 @@ def _polish_batch(G, h, r, *, total, sum_constraint):
             if sum_constraint:
                 kkt[:, :s, s] = 1.0
                 kkt[:, s, :s] = 1.0
-                rhs[:, s, 0] = total
+                rhs[:, s, 0] = 1.0
             try:
                 r_s = np.linalg.solve(kkt, rhs)[:, :s, 0]
             except np.linalg.LinAlgError:
@@ -221,46 +202,37 @@ def constrained_lstsq_batch(
     *,
     weights: NDArray | None = None,
     lower: float = 0.0,
-    total: float = 1.0,
     sum_constraint: bool = True,
-    max_iter: int = 50_000,
     kkt_tol: float = KKT_TOL,
 ) -> tuple[NDArray, NDArray, NDArray]:
     """Solve a batch of bound/simplex-constrained least-squares problems.
 
     Args:
-        M: (k, m, d) stacked design matrices (or (m, d) for a single one,
-            broadcast against ``b``).
+        M: (k, m, d) stacked design matrices.
         b: (k, m) or (m,) targets.
         weights: optional (k, m) or (m,) nonnegative diagonal weights.
         lower: common componentwise lower bound on the solution.
-        total: required sum of each solution when ``sum_constraint``.
-        sum_constraint: impose ``sum(p) = total``; otherwise only
-            ``p >= lower``.
-        max_iter: accelerated-gradient iteration cap.
+        sum_constraint: impose ``sum(p) = 1``; otherwise only ``p >= lower``.
         kkt_tol: target normalized KKT residual.
 
     Returns:
-        (p, objective, kkt_res): arrays of shape (k, d), (k,), (k,).
+        (p, objective, kkt_res): arrays of shape (k, d), (k,), (k,).  A
+        problem whose ``kkt_res`` is above ``kkt_tol`` did not converge.
     """
     M = np.asarray(M, dtype=np.float64)
-    single = M.ndim == 2
-    if single:
-        M = M[None]
     k, m, d = M.shape
     b = np.broadcast_to(np.asarray(b, dtype=np.float64), (k, m))
-    w = None
-    if weights is not None:
-        w = np.broadcast_to(np.asarray(weights, dtype=np.float64), (k, m))
-        if np.any(w < 0):
-            raise ValidationError("weights must be nonnegative")
+    # Unit weights give the same bits as no weights: x * 1.0 == x.
+    w = np.broadcast_to(np.asarray(1.0 if weights is None else weights, dtype=np.float64), (k, m))
+    if np.any(w < 0):
+        raise ValidationError("weights must be nonnegative")
 
     if sum_constraint:
-        span = total - d * lower
+        span = 1.0 - d * lower
         if span < -1e-12:
             raise ValidationError(
                 f"infeasible constraints: {d} components with lower bound "
-                f"{lower} cannot sum to {total}"
+                f"{lower} cannot sum to 1"
             )
         span = max(span, 0.0)
     else:
@@ -269,37 +241,30 @@ def constrained_lstsq_batch(
     # Substitute p = lower + span * r with r on the unit simplex (or p =
     # lower + r, r >= 0, without the sum constraint).
     shift = lower * M.sum(axis=2)  # M @ (lower * ones)
-    scale = span if sum_constraint else 1.0
     if sum_constraint and span == 0.0:
         # The lower bounds use up the whole budget: unique feasible point.
         p = np.full((k, d), lower)
         resid = np.einsum("kmd,kd->km", M, p, optimize=True) - b
-        obj = ((resid**2) if w is None else w * resid**2).sum(axis=1)
-        zero = np.zeros(k)
-        return (p[0], float(obj[0]), 0.0) if single else (p, obj, zero)
+        obj = (w * resid**2).sum(axis=1)
+        return p, obj, np.zeros(k)
 
-    c = (b - shift) / max(scale, 1e-300)
+    c = (b - shift) / max(span, 1e-300)
     G, h = _grams(M, c, w)
     r0 = np.full((k, d), (1.0 / d) if sum_constraint else 0.0)
-    r, it = _fista(
-        G, h, r0, 1.0, sum_constraint=sum_constraint,
-        max_iter=min(max_iter, FISTA_WINDOW), tol=kkt_tol,
-    )
-    r = _polish_batch(G, h, r, total=1.0, sum_constraint=sum_constraint)
+    r, it = _fista(G, h, r0, sum_constraint=sum_constraint, max_iter=FISTA_WINDOW, tol=kkt_tol)
+    r = _polish_batch(G, h, r, sum_constraint=sum_constraint)
     res = kkt_residual(G, h, r, sum_constraint=sum_constraint)
     # A second, longer gradient pass for any stragglers.
     bad = res > kkt_tol
-    if np.any(bad) and it < max_iter:
+    if np.any(bad):
         r_bad, _ = _fista(
-            G[bad], h[bad], r[bad], 1.0,
-            sum_constraint=sum_constraint, max_iter=max_iter - it, tol=kkt_tol,
+            G[bad], h[bad], r[bad],
+            sum_constraint=sum_constraint, max_iter=MAX_ITER - it, tol=kkt_tol,
         )
-        r[bad] = _polish_batch(
-            G[bad], h[bad], r_bad, total=1.0, sum_constraint=sum_constraint
-        )
+        r[bad] = _polish_batch(G[bad], h[bad], r_bad, sum_constraint=sum_constraint)
         res = kkt_residual(G, h, r, sum_constraint=sum_constraint)
 
-    p = lower + scale * r
+    p = lower + span * r
     if sum_constraint:
         # Feasibility exactly: renormalize the free part and clamp dust.
         free = np.maximum(p - lower, 0.0)
@@ -310,51 +275,22 @@ def constrained_lstsq_batch(
     else:
         p = np.maximum(p, lower)
     resid = np.einsum("kmd,kd->km", M, p, optimize=True) - b
-    obj = ((resid**2) if w is None else w * resid**2).sum(axis=1)
-    if single:
-        return p[0], obj[0], res[0]
+    obj = (w * resid**2).sum(axis=1)
     return p, obj, res
 
 
-def constrained_lstsq(
-    M: NDArray,
-    b: NDArray,
-    *,
-    weights: NDArray | None = None,
-    lower: float = 0.0,
-    total: float = 1.0,
-    sum_constraint: bool = True,
-    max_iter: int = 50_000,
-    kkt_tol: float = KKT_TOL,
-) -> LstsqResult:
-    """Single-problem front end to :func:`constrained_lstsq_batch`.
+def single_solution(solution, what: str) -> tuple[NDArray, float]:
+    """``(p, objective)`` of a one-problem :func:`constrained_lstsq_batch` result.
 
     Raises:
-        SolverError: the KKT residual stayed above ``kkt_tol`` after the
-            full iteration budget; the error carries the best iterate.
+        SolverError: its KKT residual stayed above :data:`KKT_TOL`; the error
+            carries the ``p`` array found and the residual.
     """
-    p, obj, res = constrained_lstsq_batch(
-        M,
-        b,
-        weights=weights,
-        lower=lower,
-        total=total,
-        sum_constraint=sum_constraint,
-        max_iter=max_iter,
-        kkt_tol=kkt_tol,
-    )
-    converged = bool(res <= kkt_tol)
-    result = LstsqResult(
-        p=p,
-        objective=float(obj),
-        kkt_residual=float(res),
-        converged=converged,
-    )
-    if not converged:
+    p, obj, res = solution
+    if not res[0] <= KKT_TOL:
         raise SolverError(
-            f"constrained least squares did not reach KKT residual "
-            f"{kkt_tol:g} (got {float(res):g})",
-            iterate=result,
-            residual=float(res),
+            f"{what} did not reach KKT residual {KKT_TOL:g} (got {res[0]:g})",
+            iterate=p[0],
+            residual=float(res[0]),
         )
-    return result
+    return p[0], float(obj[0])

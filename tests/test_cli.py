@@ -241,6 +241,37 @@ class TestExitCodes:
     def test_missing_file_is_exit_one(self, tmp_path):
         assert run(["survive", "--pi", tmp_path / "nope.csv"]) == 1
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("pi.csv", "period,a,b\n1,0.5,half\n"),
+            ("pi.csv", "period,a,b,c\n1,0.5,0.5\n2,0.5,0.5\n"),
+            ("counts.csv", "period,count\n1,50\n2\n"),
+            ("raw.csv", "respondent_id,stopping_time,choice\nr1,0,a\nr2,soon,b\n"),
+        ],
+    )
+    def test_malformed_csv_is_exit_one(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        pi = tmp_path / "good_pi.csv"
+        pi.write_text("period,a,b\n1,0.5,0.5\n2,0.25,0.75\n")
+        args = {
+            "pi.csv": ["survive", "--pi", path],
+            "counts.csv": ["test", "--pi", pi, "--counts", path, "--no-outside",
+                           "--orderings", "full"],
+            "raw.csv": ["cluster", "--input", path, "--periods", "2", "--out", tmp_path / "o.csv"],
+        }[name]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}, line ")
+        assert "Traceback" not in err
+
+    def test_unknown_outside_label_is_exit_one(self, tmp_path, capsys):
+        pi = tmp_path / "pi.csv"
+        pi.write_text("period,a,b\n1,0.5,0.5\n")
+        assert run(["estimate", "--pi", pi, "--outside", "zz", "--orderings", "full"]) == 1
+        assert capsys.readouterr().err.startswith("error: --outside 'zz'")
+
     def test_bad_json_is_exit_one(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

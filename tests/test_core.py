@@ -25,6 +25,7 @@ class TestPublicSurface:
             "initial_row_singletons",
             "conditional_choice_matrix",
             "crra_utility",
+            "load_experiment_lotteries",
         ],
     )
     def test_removed_names_are_not_exported(self, name):

@@ -29,14 +29,6 @@ class TestPiCsv:
         loaded, _ = dataio.read_pi_csv(path)
         np.testing.assert_array_equal(loaded.pi, values)
 
-    def test_outside_label_resolution(self, tmp_path):
-        menu = tc.Menu(items=("a", "o"), outside_index=1)
-        pi = tc.ChoiceDataset(pi=np.array([[0.5, 0.5]]))
-        path = tmp_path / "pi.csv"
-        dataio.write_pi_csv(path, pi, menu)
-        _, loaded_menu = dataio.read_pi_csv(path, outside_label="o")
-        assert loaded_menu.outside_index == 1
-
     def test_bad_header(self, tmp_path):
         path = tmp_path / "pi.csv"
         path.write_text("wrong,a,b\n1,0.5,0.5\n")
@@ -107,7 +99,7 @@ class TestJsonDocuments:
         dataio.write_rule_csv(path, rule, menu3)
         header = path.read_text().splitlines()[0]
         assert header.startswith("period,pref0|a,")
-        assert header.count("|") == rule.d_u
+        assert header.count("|") == rule.u.shape[1]
 
 
 class TestBundledData:
@@ -131,6 +123,3 @@ class TestBundledData:
         assert pi.pi[4, 3] == pytest.approx(2 / 96)
         assert pi.pi[5, 1] == pytest.approx(31 / 100)
         assert pi.period_counts == (25, 98, 98, 98, 96, 100)
-
-    def test_bundled_lotteries_match_module(self):
-        assert tc.load_experiment_lotteries() == tc.experiment_lotteries()

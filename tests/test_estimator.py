@@ -94,6 +94,21 @@ class TestSolveP:
         with pytest.raises(ValidationError):
             tc.solve_p(two_blocks, transform, pi)
 
+    def test_unconverged_solve_raises(self, recovery_setup, monkeypatch):
+        transform, rule, _, pi = recovery_setup
+        real_batch = est.constrained_lstsq_batch
+
+        def never_converged(*args, **kwargs):
+            p, obj, res = real_batch(*args, **kwargs)
+            return p, obj, np.ones_like(res)
+
+        monkeypatch.setattr(est, "constrained_lstsq_batch", never_converged)
+        with pytest.raises(SolverError) as err:
+            tc.solve_p(rule, transform, pi)
+        assert err.value.residual == 1.0
+        assert isinstance(err.value.iterate, np.ndarray)
+        assert err.value.iterate.shape == (6,)
+
 
 class TestEstimate:
     def test_k1_equals_solve_p_on_the_sampled_rule(self, menu3, orderings3):

@@ -56,7 +56,7 @@ class TestStep:
         enum = tc.enumerate_sets(menu, outside_mode=True)
         rng = np.random.default_rng(1)
         rows = np.tile(tc.initial_row_outside(menu), (50, 1))
-        stepped, _, _ = _step_rows(rows[None], enum, [rng])
+        stepped = _step_rows(rows[None], enum, [rng])
         assert np.all(stepped[0, :, 0] <= rows[:, 0] + 1e-12)
 
     def test_long_chain_stays_monotone(self):
@@ -165,7 +165,7 @@ def _chains(init, enum, d_pref, d_t, seeds):
     states = np.broadcast_to(init, (len(rngs), d_pref, enum.d_c)).copy()
     rows = [states]
     for _ in range(d_t - 1):
-        states = _step_rows(states, enum, rngs)[0]
+        states = _step_rows(states, enum, rngs)
         rows.append(states)
     return np.stack(rows, axis=1)
 
@@ -313,8 +313,7 @@ class TestLockstepPool:
         monkeypatch.setattr(sampler, "_BLOCK_CELLS", rows_per_piece * enum.d_c**2)
         # Pieces of 5 rows straddle the rules' runs of 6 rows.
         pieces = _step_rows(states, enum, [np.random.default_rng(s) for s in range(8)])
-        for a, b in zip(whole, pieces):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(whole, pieces)
         config = tc.SamplerConfig(d_t=6, seed=0, outside_mode=True)
         pool = tc.sample_attention_rules(menu6, orderings6, config, 200)
         assert _digest(pool) == (

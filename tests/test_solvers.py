@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from timedchoice.sampler import _rule_blocks, child_seeds
 from timedchoice.solvers import (
     _fista,
     _grams,
-    constrained_lstsq,
     constrained_lstsq_batch,
     kkt_residual,
     project_simplex,
@@ -51,39 +52,50 @@ class TestProjectSimplex:
         np.testing.assert_allclose(p[1], [1.0, 0.0])
 
 
+def solve_one(M, b, **kwargs):
+    """``(p, objective, kkt_residual)`` of one problem, solved as a ``(1, m, d)`` stack."""
+    p, obj, res = constrained_lstsq_batch(np.asarray(M)[None], b, **kwargs)
+    return p[0], obj[0], res[0]
+
+
 class TestConstrainedLstsq:
+    def test_parameters(self):
+        assert list(inspect.signature(constrained_lstsq_batch).parameters) == [
+            "M", "b", "weights", "lower", "sum_constraint", "kkt_tol",
+        ]
+
     def test_exact_recovery_interior(self):
         rng = np.random.default_rng(0)
         M = rng.normal(size=(12, 4))
         p_true = np.array([0.4, 0.3, 0.2, 0.1])
-        res = constrained_lstsq(M, M @ p_true)
-        np.testing.assert_allclose(res.p, p_true, atol=1e-9)
-        assert res.objective < 1e-18
-        assert res.kkt_residual < 1e-8
+        p, obj, res = solve_one(M, M @ p_true)
+        np.testing.assert_allclose(p, p_true, atol=1e-9)
+        assert obj < 1e-18
+        assert res < 1e-8
 
     def test_active_bounds_solution(self):
         # Target far outside the simplex face: solution lands on a vertex.
         M = np.eye(3)
-        res = constrained_lstsq(M, np.array([2.0, -1.0, -1.0]))
-        np.testing.assert_allclose(res.p, [1.0, 0.0, 0.0], atol=1e-12)
+        p, _, _ = solve_one(M, np.array([2.0, -1.0, -1.0]))
+        np.testing.assert_allclose(p, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_simplex_constraints_hold_exactly(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             M = rng.normal(size=(6, 5))
             b = rng.normal(size=6)
-            res = constrained_lstsq(M, b)
-            assert res.p.min() >= 0.0
-            assert abs(res.p.sum() - 1.0) < 1e-12
+            p, _, _ = solve_one(M, b)
+            assert p.min() >= 0.0
+            assert abs(p.sum() - 1.0) < 1e-12
 
     def test_objective_matches_independent_evaluation(self):
         rng = np.random.default_rng(7)
         M = rng.normal(size=(9, 4))
         b = rng.normal(size=9)
         w = rng.uniform(0.5, 2.0, size=9)
-        res = constrained_lstsq(M, b, weights=w)
-        r = M @ res.p - b
-        assert res.objective == pytest.approx(float(np.sum(w * r * r)), abs=1e-10)
+        p, obj, _ = solve_one(M, b, weights=w)
+        r = M @ p - b
+        assert obj == pytest.approx(float(np.sum(w * r * r)), abs=1e-10)
 
     def test_agrees_with_grid_oracle_two_vars(self):
         rng = np.random.default_rng(11)
@@ -91,27 +103,27 @@ class TestConstrainedLstsq:
             M = rng.normal(size=(6, 2))
             b = rng.normal(size=6)
             w = rng.uniform(0.1, 4.0, size=6)
-            res = constrained_lstsq(M, b, weights=w)
+            _, obj, _ = solve_one(M, b, weights=w)
             oracle = grid_minimum_2d(M, b, weights=w)
-            assert res.objective <= oracle + 1e-4
+            assert obj <= oracle + 1e-4
 
     def test_lower_bound_respected(self):
         rng = np.random.default_rng(3)
         M = rng.normal(size=(8, 4))
         b = rng.normal(size=8)
-        res = constrained_lstsq(M, b, lower=0.05)
-        assert res.p.min() >= 0.05 - 1e-12
-        assert res.p.sum() == pytest.approx(1.0, abs=1e-12)
+        p, _, _ = solve_one(M, b, lower=0.05)
+        assert p.min() >= 0.05 - 1e-12
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_span_returns_unique_point(self):
         M = np.eye(4)
-        p, obj, res = constrained_lstsq_batch(M, np.zeros(4), lower=0.25)
+        p, obj, res = solve_one(M, np.zeros(4), lower=0.25)
         np.testing.assert_allclose(p, np.full(4, 0.25))
         assert obj == pytest.approx(0.25)
 
     def test_infeasible_lower_bound_raises(self):
         with pytest.raises(ValidationError):
-            constrained_lstsq(np.eye(3), np.zeros(3), lower=0.5)
+            solve_one(np.eye(3), np.zeros(3), lower=0.5)
 
     def test_orthant_mode_matches_known_nnls(self):
         # min ||Mp - b||^2, p >= 0 with a strictly interior solution equals
@@ -120,15 +132,13 @@ class TestConstrainedLstsq:
         M = rng.normal(size=(10, 3))
         p_true = np.array([0.7, 1.3, 0.4])
         b = M @ p_true
-        p, obj, res = constrained_lstsq_batch(M, b, sum_constraint=False)
+        p, obj, res = solve_one(M, b, sum_constraint=False)
         np.testing.assert_allclose(p, p_true, atol=1e-8)
         assert obj < 1e-16
 
     def test_orthant_mode_clips_negative_components(self):
         M = np.eye(2)
-        p, obj, _ = constrained_lstsq_batch(
-            M, np.array([1.5, -2.0]), sum_constraint=False
-        )
+        p, obj, _ = solve_one(M, np.array([1.5, -2.0]), sum_constraint=False)
         np.testing.assert_allclose(p, [1.5, 0.0], atol=1e-10)
 
     def test_batch_matches_single(self):
@@ -137,13 +147,13 @@ class TestConstrainedLstsq:
         bs = rng.normal(size=(7, 6))
         ps, objs, _ = constrained_lstsq_batch(Ms, bs)
         for k in range(7):
-            single = constrained_lstsq(Ms[k], bs[k])
-            np.testing.assert_allclose(ps[k], single.p, atol=1e-9)
-            assert objs[k] == pytest.approx(single.objective, abs=1e-10)
+            p, obj, _ = solve_one(Ms[k], bs[k])
+            np.testing.assert_allclose(ps[k], p, atol=1e-9)
+            assert objs[k] == pytest.approx(obj, abs=1e-10)
 
     def test_weight_validation(self):
         with pytest.raises(ValidationError):
-            constrained_lstsq(np.eye(2), np.zeros(2), weights=np.array([1.0, -1.0]))
+            solve_one(np.eye(2), np.zeros(2), weights=np.array([1.0, -1.0]))
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -152,8 +162,8 @@ class TestConstrainedLstsq:
         m, d = int(rng.integers(3, 12)), int(rng.integers(2, 8))
         M = rng.normal(size=(m, d))
         b = rng.normal(size=m)
-        res = constrained_lstsq(M, b)
-        assert res.kkt_residual < 1e-8
+        _, _, res = solve_one(M, b)
+        assert res < 1e-8
 
 
 def _reference_polish_one(G, h, r, *, sum_constraint):
@@ -209,24 +219,21 @@ def _reference_batch(M, b, *, weights=None, lower=0.0, sum_constraint=True):
     """
     max_iter, kkt_tol = 50_000, 1e-8
     M = np.asarray(M, dtype=np.float64)
-    single = M.ndim == 2
-    if single:
-        M = M[None]
     k, m, d = M.shape
     b = np.broadcast_to(np.asarray(b, dtype=np.float64), (k, m))
-    w = None if weights is None else np.broadcast_to(np.asarray(weights, dtype=np.float64), (k, m))
+    w = np.broadcast_to(np.asarray(1.0 if weights is None else weights, dtype=np.float64), (k, m))
     span = max(1.0 - d * lower, 0.0) if sum_constraint else 1.0
     c = (b - lower * M.sum(axis=2)) / max(span, 1e-300)
     G, h = _grams(M, c, w)
     r0 = np.full((k, d), (1.0 / d) if sum_constraint else 0.0)
-    r, it = _fista(G, h, r0, 1.0, sum_constraint=sum_constraint, max_iter=400, tol=kkt_tol)
+    r, it = _fista(G, h, r0, sum_constraint=sum_constraint, max_iter=400, tol=kkt_tol)
     for i in range(k):
         r[i] = _reference_polish_one(G[i], h[i], r[i], sum_constraint=sum_constraint)
     res = kkt_residual(G, h, r, sum_constraint=sum_constraint)
     bad = res > kkt_tol
     if np.any(bad) and it < max_iter:
         r_bad, _ = _fista(
-            G[bad], h[bad], r[bad], 1.0,
+            G[bad], h[bad], r[bad],
             sum_constraint=sum_constraint, max_iter=max_iter - it, tol=kkt_tol,
         )
         r[bad] = r_bad
@@ -243,9 +250,7 @@ def _reference_batch(M, b, *, weights=None, lower=0.0, sum_constraint=True):
     else:
         p = np.maximum(p, lower)
     resid = np.einsum("kmd,kd->km", M, p, optimize=True) - b
-    obj = ((resid**2) if w is None else w * resid**2).sum(axis=1)
-    if single:
-        return p[0], obj[0], res[0]
+    obj = (w * resid**2).sum(axis=1)
     return p, obj, res
 
 
@@ -319,12 +324,6 @@ class TestLockstepPolishOracle:
             constrained_lstsq_batch(ms, pi.vec(), sum_constraint=False),
             _reference_batch(ms, pi.vec(), sum_constraint=False),
         )
-
-    def test_single_problem(self, bundled_pool):
-        pi, ms = bundled_pool
-        got = constrained_lstsq_batch(ms[3], pi.vec())
-        assert got[0].shape == (ms.shape[2],)
-        _assert_bytes_equal(got, _reference_batch(ms[3], pi.vec()))
 
 
 class TestPolishFallbacks:
