@@ -22,6 +22,7 @@ from .core import (
     OrderingSet,
     PreferenceDistribution,
     PreferenceOrdering,
+    all_orderings,
     enumerate_sets,
 )
 from .errors import SolverError, TimedChoiceError, ValidationError
@@ -78,8 +79,7 @@ def _resolve_orderings(spec: str, menu: Menu, no_outside: bool) -> OrderingSet:
         if menu.n > 6:
             raise ValidationError("--orderings full is capped at 6 items")
         if no_outside or menu.outside_index is None:
-            perms = itertools.permutations(range(menu.n))
-            return OrderingSet(tuple(PreferenceOrdering(p) for p in perms))
+            return all_orderings(menu.n)
         o = menu.outside_index
         rest = [i for i in range(menu.n) if i != o]
         return OrderingSet(
@@ -156,7 +156,10 @@ def _cmd_test(args) -> int:
     config = SamplerConfig(
         d_t=dataset.d_t, seed=rule_seed, outside_mode=not args.no_outside
     )
-    tau = None if args.tau == "auto" else float(args.tau)
+    try:
+        tau = None if args.tau == "auto" else float(args.tau)
+    except ValueError:
+        raise ValidationError(f"--tau must be 'auto' or a number, got {args.tau!r}") from None
     test_config = TestConfig(
         tau_n=tau, n_boot=args.boot, alpha=args.alpha, seed=boot_seed,
         simplex_sum=not args.no_simplex_sum,

@@ -96,8 +96,11 @@ def kmeans_1d(values: NDArray, k: int) -> list[NDArray]:
     # starts i in one pass; argmin keeps the first of tied minima.
     dp = np.full((k + 1, m + 1), np.inf)
     back = np.zeros((k + 1, m + 1), dtype=int)
-    dp[0, 0] = 0.0
-    for c in range(1, k + 1):
+    # One cluster can only start at value 0 (dp[0, i] is inf for i >= 1), so
+    # layer 1 is its cost from 0, all j at once, with back[1] = 0.
+    sm = s1[1:] - s1[0]
+    dp[1, 1:] = (s2[1:] - s2[0]) - sm * sm / (s0[1:] - s0[0])
+    for c in range(2, k + 1):
         for j in range(c, m + 1):
             sm = s1[j] - s1[c - 1 : j]
             cand = (

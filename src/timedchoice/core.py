@@ -30,6 +30,12 @@ ROW_SUM_TOL = 1e-9
 MONOTONICITY_TOL = 1e-9
 
 
+def _check_tol(tol: float) -> None:
+    """Raise unless ``tol`` is finite and nonnegative; NaN fails the test too."""
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def _as_readonly(a: NDArray, dtype=np.float64) -> NDArray:
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
@@ -90,10 +96,6 @@ class ConsiderationSet:
 
     def labels(self, menu: Menu) -> tuple[str, ...]:
         return tuple(menu.items[i] for i in self.members())
-
-    @property
-    def size(self) -> int:
-        return bin(self.mask).count("1")
 
 
 @dataclass(frozen=True)
@@ -516,7 +518,11 @@ def check_time_monotonicity(
     ordered period pair t < t', requires ``alpha(A|t) >= alpha(A|t') - tol``,
     and requires the full-menu accumulation to equal one within ``tol``.
     All violations are reported, not just the first.
+
+    Raises:
+        ValidationError: ``tol`` is negative, infinite or NaN.
     """
+    _check_tol(tol)
     enum = rule.set_index
     alpha = zeta_transform(rule.blocks(), enum)  # (d_t, d_pref, d_c)
     full = enum.full_index

@@ -29,7 +29,7 @@ from .core import (
     enumerate_sets,
 )
 from .errors import SolverError, ValidationError
-from .sampler import SamplerConfig, _rule_blocks, child_seeds
+from .sampler import SamplerConfig, _draw_rules, child_seeds
 from .solvers import KKT_TOL, constrained_lstsq_batch, single_solution
 from .transform import (
     ChoiceTransform,
@@ -141,17 +141,16 @@ def _score_pool(
     b = pi.vec()
     n = k + len(extra_rules)
     objectives = np.full(n, np.inf)
+    # One draw buffer, reused by every chunk; the winner copies its rows.
+    buffer = np.empty((min(n, CHUNK), d_t, d_pref, enum.d_c))
     best_obj, best_index, best_p, best_rule = np.inf, -1, None, None
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        blocks = np.empty((stop - start, d_t, d_pref, enum.d_c))
-        i = 0
-        for drawn in _rule_blocks(enum, d_pref, sampler_config, islice(seeds, CHUNK)):
-            blocks[i : i + len(drawn)] = drawn
-            i += len(drawn)
-        for rule in extra_rules[max(start - k, 0) : max(stop - k, 0)]:
-            blocks[i] = rule.blocks()
-            i += 1
+        blocks = buffer[: stop - start]
+        drawn = list(islice(seeds, CHUNK))
+        _draw_rules(enum, d_pref, sampler_config, drawn, blocks[: len(drawn)])
+        for row, rule in zip(blocks[len(drawn) :], extra_rules[max(start - k, 0) :]):
+            row[...] = rule.blocks()
         ms = design_matrix_batch(blocks, transform)
         p, obj, res = constrained_lstsq_batch(
             ms, b, weights=weights, lower=lower, sum_constraint=sum_constraint

@@ -356,9 +356,9 @@ def diffusion_schedule(
     independent-consideration schedule, the induced *rule* is guaranteed
     monotone in outside mode only (see :func:`gen_mm`).
 
-    ``thresholds`` is a (d_t, n_free) array or a callable ``f(t)`` returning
-    the per-item thresholds at time value ``t``; ``n_free`` excludes the
-    outside item in outside mode (it is pinned to certain consideration).
+    ``thresholds`` is a (d_t, n_free) array: row t - 1 holds the per-item
+    thresholds at time value ``t``; ``n_free`` excludes the outside item in
+    outside mode (it is pinned to certain consideration).
 
     Raises:
         ConfigurationError: negative drift or nonpositive sigma, or
@@ -375,10 +375,7 @@ def diffusion_schedule(
         )
     n_free = drifts.shape[0]
     times = np.arange(1, d_t + 1, dtype=np.float64)
-    if callable(thresholds):
-        tau = np.stack([np.asarray(thresholds(t), dtype=np.float64) for t in times])
-    else:
-        tau = np.asarray(thresholds, dtype=np.float64)
+    tau = np.asarray(thresholds, dtype=np.float64)
     if tau.shape != (d_t, n_free):
         raise ConfigurationError(
             f"thresholds must have shape ({d_t}, {n_free}), got {tau.shape}"

@@ -63,8 +63,9 @@ class TestConfig:
             raise ConfigurationError("need at least one bootstrap replication")
         if not (0.0 < self.alpha < 0.5):
             raise ConfigurationError("alpha must lie in (0, 0.5)")
-        if self.tau_n is not None and self.tau_n < 0:
-            raise ConfigurationError("tau_n must be nonnegative")
+        # Written so that a NaN tau_n fails it.
+        if self.tau_n is not None and not 0.0 <= self.tau_n < np.inf:
+            raise ConfigurationError(f"tau_n must be finite and nonnegative, got {self.tau_n!r}")
 
 
 @dataclass(frozen=True)

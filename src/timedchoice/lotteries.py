@@ -101,32 +101,28 @@ class OrderingInterval:
     ordering: PreferenceOrdering
 
 
-def crra_ordering_table(
-    lotteries,
-    *,
-    sigma_range: tuple[float, float] = (-1.0, 1.0),
-    grid_step: float = 1e-4,
-    cutoff_tol: float = 1e-6,
-) -> tuple[OrderingInterval, ...]:
-    """Partition a risk-aversion range into constant-ordering intervals.
+#: Grid spacing and bisection width of :func:`crra_ordering_table`.
+GRID_STEP = 1e-4
+CUTOFF_TOL = 1e-6
 
-    Scans a grid of at most ``grid_step`` spacing, then bisects every
-    ordering change down to ``cutoff_tol``.  Interval endpoints are the
-    located cutoffs; the first and last endpoints are the range bounds.
+
+def crra_ordering_table(lotteries) -> tuple[OrderingInterval, ...]:
+    """Partition the risk-aversion range [-1, 1] into constant-ordering intervals.
+
+    Scans a grid of at most :data:`GRID_STEP` spacing, then bisects every
+    ordering change down to :data:`CUTOFF_TOL`.  Interval endpoints are the
+    located cutoffs; the first and last endpoints are -1 and 1.
     """
-    lo, hi = sigma_range
-    if not (-1.0 <= lo < hi <= 1.0):
-        raise ValidationError("sigma_range must be an interval inside [-1, 1]")
+    lo, hi = -1.0, 1.0
 
     def ordering_at(s: float) -> PreferenceOrdering:
-        # Nudge off exact ties; the grid never lands on one generically,
-        # but user-supplied endpoints might.
+        # Nudge off exact ties; the grid never lands on one generically.
         try:
             return crra_rank(lotteries, s)
         except CutoffTieError:
-            return crra_rank(lotteries, s + cutoff_tol * 0.5)
+            return crra_rank(lotteries, s + CUTOFF_TOL * 0.5)
 
-    steps = max(int(math.ceil((hi - lo) / grid_step)), 1)
+    steps = math.ceil((hi - lo) / GRID_STEP)
     grid = np.linspace(lo, hi, steps + 1)
     intervals: list[OrderingInterval] = []
     cur_lo = lo
@@ -136,7 +132,7 @@ def crra_ordering_table(
         if ord_b == cur_ord:
             continue
         left, right = float(a), float(b)
-        while right - left > cutoff_tol:
+        while right - left > CUTOFF_TOL:
             mid = 0.5 * (left + right)
             if ordering_at(mid) == cur_ord:
                 left = mid
@@ -194,21 +190,10 @@ def crra_ordering_set(
     Returns the ordering set over the six menu items together with the
     risk-aversion intervals that generated it.
     """
-    menu = experiment_menu()
-    if include_outside_in_ranking:
-        lots = experiment_lotteries(include_outside=True)
-        intervals = crra_ordering_table(lots)
-        orderings = []
-        for iv in intervals:
-            if iv.ordering not in orderings:
-                orderings.append(iv.ordering)
-        return OrderingSet(tuple(orderings)), intervals
-    lots = experiment_lotteries(include_outside=False)
-    intervals = crra_ordering_table(lots)
-    outside = menu.outside_index
-    orderings = []
-    for iv in intervals:
-        full = PreferenceOrdering(iv.ordering.rank + (outside,))
-        if full not in orderings:
-            orderings.append(full)
-    return OrderingSet(tuple(orderings)), intervals
+    intervals = crra_ordering_table(
+        experiment_lotteries(include_outside=include_outside_in_ranking)
+    )
+    # Left out of the ranking, the sure payment is everyone's last choice.
+    last = () if include_outside_in_ranking else (experiment_menu().outside_index,)
+    ranks = dict.fromkeys(iv.ordering.rank + last for iv in intervals)  # first-seen order
+    return OrderingSet(tuple(PreferenceOrdering(rank) for rank in ranks)), intervals

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 from numpy.typing import NDArray
@@ -46,7 +45,7 @@ from .core import (
     enumerate_sets,
     moebius_inverse,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 
 #: Step intervals shorter than this count as degenerate.
 GAMMA_FLOOR = 1e-12
@@ -300,25 +299,22 @@ def _initial_states(
     return np.stack([rng.dirichlet(alpha, size=d_pref) for rng in rngs])
 
 
-def _rule_blocks(enum, d_pref, config, seeds):
-    """Draw one rule per seed, yielding them as ``(m, d_t, d_pref, d_c)`` stacks.
+def _draw_rules(enum, d_pref, config, seeds, out):
+    """Draw rule ``i`` into ``out[i]``, ``out`` being ``(len(seeds), d_t, d_pref, d_c)``.
 
-    Rule i runs on ``np.random.default_rng(seeds[i])``; the rules of a
-    stack step together (see :func:`_step_rows`) and equal the rules drawn
-    one at a time bit for bit.  Stacks hold at most ``_BLOCK_RULES`` rules
-    and at most ``_BLOCK_CELLS / (d_pref d_c^2)``, so a block's fallback
-    draws fit in one piece (see :func:`_superset_transfer`).
+    Rule i runs on ``np.random.default_rng(seeds[i])``.  Rules step in
+    lockstep blocks (see :func:`_step_rows`) and equal the rules drawn one
+    at a time bit for bit.  Blocks hold at most ``_BLOCK_RULES`` rules and
+    at most ``_BLOCK_CELLS / (d_pref d_c^2)``, so a block's fallback draws
+    fit in one piece (see :func:`_superset_transfer`).
     """
     block = max(1, min(_BLOCK_RULES, _BLOCK_CELLS // (d_pref * enum.d_c * enum.d_c)))
-    seeds = iter(seeds)
-    while rngs := [np.random.default_rng(s) for s in islice(seeds, block)]:
-        states = _initial_states(enum, config, d_pref, rngs)
-        out = np.empty((len(rngs), config.d_t, d_pref, enum.d_c))
-        out[:, 0] = states
+    for a in range(0, len(seeds), block):
+        rngs = [np.random.default_rng(s) for s in seeds[a : a + block]]
+        rules = out[a : a + len(rngs)]
+        rules[:, 0] = states = _initial_states(enum, config, d_pref, rngs)
         for t in range(1, config.d_t):
-            states = _step_rows(states, enum, rngs)
-            out[:, t] = states
-        yield out
+            rules[:, t] = states = _step_rows(states, enum, rngs)
 
 
 def sample_attention_rule(
@@ -332,7 +328,8 @@ def sample_attention_rule(
     (menu, orderings, config) inputs reproduce the rule bit for bit.
     """
     enum = enumerate_sets(menu, outside_mode=config.outside_mode)
-    (blocks,) = _rule_blocks(enum, orderings.d_pref, config, [config.seed])
+    blocks = np.empty((1, config.d_t, orderings.d_pref, enum.d_c))
+    _draw_rules(enum, orderings.d_pref, config, [config.seed], blocks)
     return AttentionRule(
         u=blocks[0].reshape(config.d_t, -1), set_index=enum, d_pref=orderings.d_pref
     )
@@ -358,14 +355,18 @@ def child_seeds(seed: int | np.random.SeedSequence | None, count: int):
 
 def sample_attention_rules(
     menu: Menu, orderings: OrderingSet, config: SamplerConfig, count: int
-):
-    """Yield ``count`` independent rules on child streams of ``config.seed``.
+) -> NDArray[np.float64]:
+    """The whole ``(count, d_t, d_pref, d_c)`` pool drawn on child streams of ``config.seed``.
 
-    Rule ``i`` depends only on ``config.seed`` and ``i``, so enlarging
-    ``count`` extends the sequence without changing earlier draws.
+    ``[i]`` is rule ``i``'s :meth:`AttentionRule.blocks`.  It depends only on
+    ``config.seed`` and ``i``, so a larger ``count`` extends the pool.
+
+    Raises:
+        ValidationError: ``count`` is negative.
     """
+    if count < 0:
+        raise ValidationError(f"count must be nonnegative, got {count}")
     enum = enumerate_sets(menu, outside_mode=config.outside_mode)
-    d_pref = orderings.d_pref
-    for blocks in _rule_blocks(enum, d_pref, config, child_seeds(config.seed, count)):
-        for b in blocks:
-            yield AttentionRule(u=b.reshape(config.d_t, -1), set_index=enum, d_pref=d_pref)
+    pool = np.empty((count, config.d_t, orderings.d_pref, enum.d_c))
+    _draw_rules(enum, orderings.d_pref, config, list(child_seeds(config.seed, count)), pool)
+    return pool

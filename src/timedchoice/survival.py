@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ChoiceDataset, Menu, PreferenceOrdering
+from .core import ChoiceDataset, Menu, PreferenceOrdering, _check_tol
 from .errors import ValidationError
 
 #: Tolerance added to the strict inequality test on exact data.
@@ -103,8 +103,10 @@ def rejection_test(
 
     Raises:
         ValidationError: fewer than two periods (no comparisons exist, so
-            every ordering would survive vacuously).
+            every ordering would survive vacuously), or ``tol`` is
+            negative, infinite or NaN.
     """
+    _check_tol(tol)
     if pi.d_t < 2:
         raise ValidationError(
             "rejection test needs at least two periods; with one period "
@@ -117,29 +119,28 @@ def rejection_test(
     tail_sums = np.cumsum(pi.pi[:, cols][:, ::-1], axis=1)[:, ::-1]
     for k in range(1, ordering.n):  # position 0 is the full row, always 1
         sums = tail_sums[:, k]
-        for t in range(pi.d_t - 1):
-            for tp in range(t + 1, pi.d_t):
-                if sums[tp] > sums[t] + tol:
-                    return RejectionWitness(
-                        position=k,
-                        tail=tuple(ordering.rank[k:]),
-                        t=t,
-                        t_prime=tp,
-                        sum_early=float(sums[t]),
-                        sum_late=float(sums[tp]),
-                        item=ordering.rank[k],
-                    )
+        if (rise := _first_rise(sums, tol)) is not None:
+            t, tp = rise
+            return RejectionWitness(
+                position=k,
+                tail=tuple(ordering.rank[k:]),
+                t=t,
+                t_prime=tp,
+                sum_early=float(sums[t]),
+                sum_late=float(sums[tp]),
+                item=ordering.rank[k],
+            )
     return None
 
 
-def _tail_ok(tail_sums: np.ndarray, tol: float) -> tuple[bool, tuple[int, int] | None]:
-    """Whether a per-period contour sum never rises; else the witness pair."""
+def _first_rise(tail_sums: np.ndarray, tol: float) -> tuple[int, int] | None:
+    """The first period pair over which a contour sum rises by more than ``tol``."""
     d_t = tail_sums.shape[0]
     for t in range(d_t - 1):
         for tp in range(t + 1, d_t):
             if tail_sums[tp] > tail_sums[t] + tol:
-                return False, (t, tp)
-    return True, None
+                return t, tp
+    return None
 
 
 def survivor_search(
@@ -164,6 +165,7 @@ def survivor_search(
     never-considered yet highly ranked item would violate it.  Disable the
     flag for a test that is sound against every data-generating rule.
     """
+    _check_tol(tol)
     if pi.n != menu.n:
         raise ValidationError("dataset width does not match menu size")
     if menu.n > 8:
@@ -202,9 +204,8 @@ def survivor_search(
                     )
                     continue
             new_sums = tail_sums - pi.pi[:, x]
-            ok, pair = _tail_ok(new_sums, tol)
-            if not ok:
-                t, tp = pair
+            if (rise := _first_rise(new_sums, tol)) is not None:
+                t, tp = rise
                 rejected.append(
                     RejectedPrefix(
                         prefix=tuple(prefix + [x]),

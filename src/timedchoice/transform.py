@@ -147,8 +147,7 @@ def design_matrix(
     point mass on preference i.  Flattening is row-major over (period, item).
     """
     _check_compatible(rule, transform)
-    cols = np.einsum("tpc,pcn->tnp", rule.blocks(), transform.onehot(), optimize=True)
-    return cols.reshape(rule.d_t * transform.menu.n, transform.d_pref)
+    return design_matrix_batch(rule.blocks()[None], transform)[0]
 
 
 def design_matrix_batch(

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 import timedchoice as tc
+from timedchoice.sampler import _draw_rules
+from timedchoice.transform import design_matrix_batch
 
 
 def report(name, elapsed, budget, detail=""):
@@ -107,19 +109,25 @@ def test_criterion_04_sampler_validity_bulk():
     menu = tc.Menu(items=("l1", "l2", "l3", "l4", "l5", "lO"), outside_index=5)
     orderings, _ = tc.crra_ordering_set()
     expected_init = tc.initial_row_outside(menu)
+    enum = tc.enumerate_sets(menu, outside_mode=True)
+    # Rule i is drawn from integer seed i, as sample_attention_rule(seed=i)
+    # would, in lockstep chunks of 1,000 rules.
+    config = tc.SamplerConfig(d_t=6, seed=None, outside_mode=True)
+    chunk = np.empty((1_000, 6, orderings.d_pref, enum.d_c))
     bad_monotone = bad_rows = 0
-    for seed in range(10_000):
-        rule = tc.sample_attention_rule(
-            menu, orderings, tc.SamplerConfig(d_t=6, seed=seed, outside_mode=True)
-        )
-        blocks = rule.blocks()
-        if np.abs(blocks.sum(axis=2) - 1.0).max() > 1e-9:
-            bad_rows += 1
-        if not tc.check_time_monotonicity(rule, tol=1e-9).passed:
-            bad_monotone += 1
-        if seed == 0:
-            for i in range(rule.d_pref):
-                assert np.array_equal(rule.block(i)[0], expected_init)
+    for first in range(0, 10_000, len(chunk)):
+        _draw_rules(enum, orderings.d_pref, config, range(first, first + len(chunk)), chunk)
+        for seed, blocks in enumerate(chunk, first):
+            rule = tc.AttentionRule(
+                u=blocks.reshape(6, -1), set_index=enum, d_pref=orderings.d_pref
+            )
+            if np.abs(rule.blocks().sum(axis=2) - 1.0).max() > 1e-9:
+                bad_rows += 1
+            if not tc.check_time_monotonicity(rule, tol=1e-9).passed:
+                bad_monotone += 1
+            if seed == 0:
+                for i in range(rule.d_pref):
+                    assert np.array_equal(rule.block(i)[0], expected_init)
     assert bad_monotone == 0 and bad_rows == 0
     report(
         "04 sampler validity",
@@ -171,7 +179,6 @@ def test_criterion_06_rule_pool_coverage_trend():
     enum = tc.enumerate_sets(menu)
     transform = tc.build_choice_transform(menu, enum, orderings)
     p_star = tc.PreferenceDistribution.uniform(6)
-    onehot = transform.onehot()
     delta = 0.05
     T = 1000
     sizes = (10, 100, 1000)
@@ -189,10 +196,7 @@ def test_criterion_06_rule_pool_coverage_trend():
                 menu, orderings,
                 tc.SamplerConfig(d_t=3, seed=seq, outside_mode=False), size,
             )
-            blocks = np.stack([rule.blocks() for rule in pool])
-            predictions = np.einsum(
-                "ktpc,pcn,p->ktn", blocks, onehot, p_star.p, optimize=True
-            ).reshape(size, -1)
+            predictions = design_matrix_batch(pool, transform) @ p_star.p
             if np.linalg.norm(predictions - target, axis=1).min() <= delta:
                 hits[size] += 1
     eta = {size: hits[size] / T for size in sizes}

@@ -2,7 +2,8 @@
 
 ``bench/tracing.py`` wraps package functions by module and attribute name,
 and reads the solver's default KKT tolerance from its signature, so a
-rename or a dropped parameter breaks ``bench/run.py --trace 1`` runs.
+rename or a dropped parameter breaks ``bench/run.py --trace 1`` runs.  The
+pool draw is a plain function, so a wrapped one times every chunk's draw.
 """
 
 import importlib
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from timedchoice import solvers
+import timedchoice as tc
+from timedchoice import estimator, solvers
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -35,3 +37,22 @@ def test_solver_hook_reads_the_default_tolerance():
         solvers.constrained_lstsq_batch, (), {}, (None, None, res)
     )
     assert attrs == {"problems": 3, "unconverged": 1, "max_kkt": 2 * solvers.KKT_TOL}
+
+
+def test_pool_draw_is_traced_once_per_chunk(monkeypatch):
+    menu = tc.Menu(items=("a", "b", "c"))
+    orderings = tc.all_orderings(3)
+    pi = tc.ChoiceDataset(pi=np.random.default_rng(0).dirichlet(np.ones(3), size=3))
+    config = tc.SamplerConfig(d_t=3, seed=0, outside_mode=False)
+    tracer = _tracing().Tracer()
+
+    def count_rules(fn, args, kwargs, result):
+        return {"rules": len(args[3])}  # args: enum, d_pref, config, seeds, out
+
+    counted = tracer.wrap("sampler.draw", estimator._draw_rules, count_rules)
+    monkeypatch.setattr(estimator, "_draw_rules", counted)
+    monkeypatch.setattr(estimator, "CHUNK", 4)
+    tc.estimate(pi, menu, orderings, 10, config)
+    spans = [s for s in tracer.spans if s.name == "sampler.draw"]
+    assert [s.attrs["rules"] for s in spans] == [4, 4, 2]
+    assert all(s.duration > 0 for s in spans)

@@ -278,3 +278,22 @@ class TestExitCodes:
         assert run(
             ["generate", "--model", "topn", "--config", bad, "--out", tmp_path / "x.csv"]
         ) == 1
+
+    @pytest.mark.parametrize(
+        "command, value",
+        [("test", "nan"), ("test", "abc"), ("survive", "nan"), ("survive", "inf"),
+         ("survive", "-1e-9")],
+    )
+    def test_bad_tau_or_tol_is_exit_one(self, tmp_path, capsys, command, value):
+        pi = tmp_path / "pi.csv"
+        pi.write_text("period,a,b\n1,0.5,0.5\n2,0.25,0.75\n")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("period,count\n1,50\n2,50\n")
+        args = {
+            "test": ["test", "--pi", pi, "--counts", counts, "--no-outside",
+                     "--orderings", "full", f"--tau={value}"],
+            "survive": ["survive", "--pi", pi, f"--tol={value}"],
+        }[command]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

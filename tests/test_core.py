@@ -189,6 +189,11 @@ class TestTimeMonotonicity:
         assert (0b011, 0, 1) in pairs and (0b001, 0, 2) in pairs
         assert all(v.gap > 0 for v in report.violations)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_tolerance_must_be_finite_and_nonnegative(self, forgetting_rule, tol):
+        with pytest.raises(ValidationError):
+            tc.check_time_monotonicity(forgetting_rule, tol=tol)
+
     def test_full_menu_mass_checked_against_tolerance(self, menu3):
         # A row-sum slip small enough to pass construction still trips the
         # full-menu clause when the check runs at a tighter tolerance.

@@ -164,6 +164,20 @@ class TestEstimate:
         assert split.best_index == whole.best_index == 7
         assert split.best_rule is rule
 
+    def test_winner_from_an_earlier_chunk_survives_buffer_reuse(
+        self, menu3, orderings3, monkeypatch
+    ):
+        """Later chunks overwrite the draw buffer; the winner keeps its own rows."""
+        transform = tc.build_choice_transform(menu3, tc.enumerate_sets(menu3), orderings3)
+        config = tc.SamplerConfig(d_t=4, seed=1, outside_mode=False)
+        pool = tc.sample_attention_rules(menu3, orderings3, config, 12)
+        truth = tc.AttentionRule(u=pool[1].reshape(4, -1), set_index=transform.sets, d_pref=6)
+        pi = tc.predict_choices(truth, transform, tc.PreferenceDistribution.uniform(6))
+        monkeypatch.setattr(est, "CHUNK", 4)  # chunks [0, 4), [4, 8), [8, 12)
+        result = tc.estimate(pi, menu3, orderings3, 12, config)
+        assert result.best_index == 1
+        np.testing.assert_array_equal(result.best_rule.blocks(), pool[result.best_index])
+
     def test_pool_past_one_chunk_is_unchanged(self):
         """Digest recorded with the sampler that drew every rule on its own
         (numpy 2.4, x86_64); the lockstep draw keeps the bytes."""

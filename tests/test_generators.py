@@ -233,7 +233,7 @@ class TestDiffusion:
             menu2,
             [1.0, 2.0],
             1.0,
-            lambda t: np.array([1.0 * t, 2.0 * t]),
+            np.arange(1.0, 5.0)[:, None] * np.array([1.0, 2.0]),
             4,
         )
         np.testing.assert_allclose(schedule.gamma, 0.5, atol=1e-12)
@@ -283,7 +283,7 @@ class TestDiffusion:
         # Thresholds grow exactly in step with the drift: probabilities stay
         # flat, so the schedule is still admissible.
         schedule = diffusion_schedule(
-            menu2, [1.0, 1.0], 1.0, lambda t: np.array([t, t]), 3
+            menu2, [1.0, 1.0], 1.0, np.repeat(np.arange(1.0, 4.0)[:, None], 2, axis=1), 3
         )
         np.testing.assert_allclose(schedule.gamma, 0.5, atol=1e-12)
 

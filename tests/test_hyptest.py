@@ -225,6 +225,11 @@ class TestBootstrapTest:
         with pytest.raises(ConfigurationError):
             tc.TestConfig(tau_n=-0.1)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_tau_is_rejected(self, tau):
+        with pytest.raises(ConfigurationError, match="finite"):
+            tc.TestConfig(tau_n=tau)
+
 
 class TestFitTestRule:
     def test_selects_injectable_quality_rule(self, menu3, orderings3):
@@ -269,7 +274,7 @@ class TestFitTestRule:
         def no_draws(*args, **kwargs):
             raise AssertionError("a rule pool was drawn")
 
-        monkeypatch.setattr(est, "_rule_blocks", no_draws)
+        monkeypatch.setattr(est, "_draw_rules", no_draws)
         with pytest.raises(ConfigurationError) as fit_error:
             tc.fit_test_rule(
                 pi, menu3, orderings3, 50,
@@ -299,8 +304,8 @@ class TestFitTestRule:
 
         monkeypatch.setattr(est, "constrained_lstsq_batch", only_last_converges)
         rule, _ = tc.fit_test_rule(pi, menu3, orderings3, k, config, tc.TestConfig())
-        last = list(tc.sample_attention_rules(menu3, orderings3, config, k))[-1]
-        np.testing.assert_array_equal(rule.u, last.u)
+        last = tc.sample_attention_rules(menu3, orderings3, config, k)[-1]
+        np.testing.assert_array_equal(rule.blocks(), last)
 
     def test_all_unconverged_draws_raise(self, menu3, orderings3, monkeypatch):
         pi = tc.ChoiceDataset(

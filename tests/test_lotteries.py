@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import timedchoice as tc
+from timedchoice import lotteries
 from timedchoice.errors import CutoffTieError, ValidationError
 
 
@@ -142,10 +143,13 @@ class TestOrderingTable:
             ("l2", "l5", "l3", "l4", "l1"),
         ]
 
-    def test_cutoffs_stable_under_grid_refinement(self):
+    def test_cutoffs_stable_under_grid_refinement(self, monkeypatch):
         lots = tc.experiment_lotteries(include_outside=False)
-        coarse = tc.crra_ordering_table(lots, grid_step=1e-3, cutoff_tol=1e-7)
-        fine = tc.crra_ordering_table(lots, grid_step=1e-4, cutoff_tol=1e-7)
+        monkeypatch.setattr(lotteries, "CUTOFF_TOL", 1e-7)
+        monkeypatch.setattr(lotteries, "GRID_STEP", 1e-3)
+        coarse = tc.crra_ordering_table(lots)
+        monkeypatch.setattr(lotteries, "GRID_STEP", 1e-4)
+        fine = tc.crra_ordering_table(lots)
         for a, b in zip(coarse[:-1], fine[:-1]):
             assert abs(a.hi - b.hi) < 1e-5
 

@@ -7,13 +7,13 @@ import pytest
 
 import timedchoice as tc
 from timedchoice import sampler
-from timedchoice.errors import ConfigurationError
+from timedchoice.errors import ConfigurationError, ValidationError
 from timedchoice.estimator import CHUNK
 from timedchoice.sampler import (
     FALLBACK_MAX_TARGETS,
     GAMMA_FLOOR,
     MAX_DIRECTION_RETRIES,
-    _rule_blocks,
+    _draw_rules,
     _step_rows,
     _superset_matrix,
     child_seeds,
@@ -126,33 +126,49 @@ class TestSampleAttentionRule:
 
     def test_rule_stream_is_prefix_stable(self, menu3, orderings3):
         config = tc.SamplerConfig(d_t=3, seed=77, outside_mode=False)
-        few = list(tc.sample_attention_rules(menu3, orderings3, config, 3))
-        many = list(tc.sample_attention_rules(menu3, orderings3, config, 8))
-        for a, b in zip(few, many):
-            np.testing.assert_array_equal(a.u, b.u)
+        few = tc.sample_attention_rules(menu3, orderings3, config, 3)
+        many = tc.sample_attention_rules(menu3, orderings3, config, 8)
+        np.testing.assert_array_equal(few, many[:3])
 
     def test_seed_sequence_stream_is_reproducible(self, menu3, orderings3):
         seed = np.random.SeedSequence(77)
         config = tc.SamplerConfig(d_t=3, seed=seed, outside_mode=False)
-        first = list(tc.sample_attention_rules(menu3, orderings3, config, 4))
-        again = list(tc.sample_attention_rules(menu3, orderings3, config, 4))
-        as_int = list(
-            tc.sample_attention_rules(
-                menu3, orderings3, tc.SamplerConfig(d_t=3, seed=77, outside_mode=False), 4
-            )
+        first = tc.sample_attention_rules(menu3, orderings3, config, 4)
+        again = tc.sample_attention_rules(menu3, orderings3, config, 4)
+        as_int = tc.sample_attention_rules(
+            menu3, orderings3, tc.SamplerConfig(d_t=3, seed=77, outside_mode=False), 4
         )
         assert seed.n_children_spawned == 0
-        for a, b, c in zip(first, again, as_int):
-            np.testing.assert_array_equal(a.u, b.u)
-            np.testing.assert_array_equal(a.u, c.u)
+        np.testing.assert_array_equal(first, again)
+        np.testing.assert_array_equal(first, as_int)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             tc.SamplerConfig(d_t=0)
 
 
+class TestSampleAttentionRules:
+    def test_returns_the_pool_as_one_array(self, menu6, orderings6):
+        config = tc.SamplerConfig(d_t=6, seed=0, outside_mode=True)
+        pool = tc.sample_attention_rules(menu6, orderings6, config, 3)
+        d_c = tc.enumerate_sets(menu6, outside_mode=True).d_c
+        assert isinstance(pool, np.ndarray) and pool.dtype == np.float64
+        assert pool.shape == (3, 6, orderings6.d_pref, d_c)
+
+    def test_empty_pool(self, menu3, orderings3):
+        config = tc.SamplerConfig(d_t=3, seed=0, outside_mode=False)
+        pool = tc.sample_attention_rules(menu3, orderings3, config, 0)
+        assert pool.shape == (0, 3, orderings3.d_pref, tc.enumerate_sets(menu3).d_c)
+
+    def test_negative_count_rejected(self, menu3, orderings3):
+        config = tc.SamplerConfig(d_t=3, seed=0, outside_mode=False)
+        with pytest.raises(ValidationError):
+            tc.sample_attention_rules(menu3, orderings3, config, -1)
+
+
 def _digest(rules):
-    return hashlib.sha256(np.stack([rule.u for rule in rules]).tobytes()).hexdigest()
+    """SHA-256 of a pool array, or of one rule's ``u``: the same bytes as a pool of one."""
+    return hashlib.sha256(rules.tobytes()).hexdigest()
 
 
 def _chains(init, enum, d_pref, d_t, seeds):
@@ -264,11 +280,12 @@ class TestLockstepPool:
     def test_single_rule(self, menu6, orderings6):
         config = tc.SamplerConfig(d_t=6, seed=5, outside_mode=True)
         rule = tc.sample_attention_rule(menu6, orderings6, config)
-        assert _digest([rule]) == (
+        assert _digest(rule.u) == (
             "82a26da63348ed758d80d3d0998fea2c6251aec1755cfa42fb49178c20809b33"
         )
         enum = tc.enumerate_sets(menu6, outside_mode=True)
-        (alone,) = _rule_blocks(enum, orderings6.d_pref, config, [config.seed])
+        alone = np.empty((1, 6, orderings6.d_pref, enum.d_c))
+        _draw_rules(enum, orderings6.d_pref, config, [config.seed], alone)
         np.testing.assert_array_equal(rule.blocks(), alone[0])
 
     @pytest.mark.parametrize(
@@ -281,23 +298,25 @@ class TestLockstepPool:
         orderings = tc.OrderingSet(tuple(tc.all_orderings(items))[:6])
         config = tc.SamplerConfig(d_t=d_t, seed=3, outside_mode=outside)
         # 70 rules span more than one lockstep block on six items.
-        pool = list(tc.sample_attention_rules(menu, orderings, config, 70))
+        pool = tc.sample_attention_rules(menu, orderings, config, 70)
         for child, rule in zip(child_seeds(config.seed, 70), pool):
             alone = _reference_rule(menu, orderings, replace(config, seed=child))
-            np.testing.assert_array_equal(rule.blocks(), alone)
+            np.testing.assert_array_equal(rule, alone)
 
     def test_chunk_draw_memory_is_bounded(self, menu6, orderings6):
         """Temporaries stay per block: no (CHUNK * d_pref, d_c, d_c) array.
 
-        Measured peak 11.5 MB; stepping the whole chunk as one stack
-        peaks at 160 MB.
+        Measured peak 8.3 MB besides the caller's 9.4 MB buffer; stepping
+        the whole chunk as one stack peaks at 160 MB.
         """
         enum = tc.enumerate_sets(menu6, outside_mode=True)
         config = tc.SamplerConfig(d_t=6, seed=0, outside_mode=True)
+        # The chunk's own rows are the caller's buffer, allocated outside the trace.
+        out = np.empty((CHUNK, 6, orderings6.d_pref, enum.d_c))
+        seeds = list(child_seeds(0, CHUNK))
         tracemalloc.start()
         try:
-            for _ in _rule_blocks(enum, orderings6.d_pref, config, child_seeds(0, CHUNK)):
-                pass
+            _draw_rules(enum, orderings6.d_pref, config, seeds, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -342,6 +361,6 @@ class TestLockstepPool:
         assert peak < 120e6, peak
         rule = tc.AttentionRule(u=chain.reshape(2, -1), set_index=enum, d_pref=orderings.d_pref)
         assert tc.check_time_monotonicity(rule).passed
-        assert _digest([rule]) == (
+        assert _digest(rule.u) == (
             "3f28da9d690895b6d19d0263fae54102e653c7fa7ec6f02b76d1ac17987a47a0"
         )

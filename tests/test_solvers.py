@@ -9,7 +9,6 @@ import timedchoice as tc
 from timedchoice import solvers
 from timedchoice.errors import ValidationError
 from timedchoice.hyptest import _omega, default_tau, variance_weights
-from timedchoice.sampler import _rule_blocks, child_seeds
 from timedchoice.solvers import (
     _fista,
     _grams,
@@ -269,9 +268,7 @@ def bundled_pool():
     enum = tc.enumerate_sets(menu, outside_mode=True)
     transform = tc.build_choice_transform(menu, enum, orderings)
     config = tc.SamplerConfig(d_t=pi.d_t, seed=0, outside_mode=True)
-    blocks = np.concatenate(
-        list(_rule_blocks(enum, orderings.d_pref, config, child_seeds(0, 1024)))
-    )
+    blocks = tc.sample_attention_rules(menu, orderings, config, 1024)
     return pi, design_matrix_batch(blocks, transform)
 
 

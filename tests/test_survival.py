@@ -66,6 +66,13 @@ class TestRejectionTest:
         with pytest.raises(ValidationError):
             tc.rejection_test(pi, tc.PreferenceOrdering((0, 1)))
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_tolerance_must_be_finite_and_nonnegative(self, worked_dataset, menu3, tol):
+        with pytest.raises(ValidationError):
+            tc.rejection_test(worked_dataset, tc.PreferenceOrdering((0, 1, 2)), tol=tol)
+        with pytest.raises(ValidationError):
+            tc.survivor_search(worked_dataset, menu3, tol=tol)
+
     def test_larger_tolerance_never_rejects_more(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
