@@ -2,7 +2,7 @@
 
 All subcommands are batch-oriented: files in, files plus a short summary
 out.  Exit status is 0 on success, 1 on a validation/configuration
-problem, and 2 on a numerical failure.
+problem (a malformed command line included), and 2 on a numerical failure.
 """
 
 from __future__ import annotations
@@ -287,8 +287,16 @@ def _cmd_crra_table(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a validation problem (exit 1)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="timedchoice",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,

@@ -116,11 +116,13 @@ def crra_ordering_table(lotteries) -> tuple[OrderingInterval, ...]:
     lo, hi = -1.0, 1.0
 
     def ordering_at(s: float) -> PreferenceOrdering:
-        # Nudge off exact ties; the grid never lands on one generically.
+        # Nudge off exact ties, toward the interior at the upper end; the
+        # grid never lands on one generically.
         try:
             return crra_rank(lotteries, s)
         except CutoffTieError:
-            return crra_rank(lotteries, s + CUTOFF_TOL * 0.5)
+            nudge = CUTOFF_TOL * 0.5
+            return crra_rank(lotteries, s + nudge if s + nudge <= hi else s - nudge)
 
     steps = math.ceil((hi - lo) / GRID_STEP)
     grid = np.linspace(lo, hi, steps + 1)

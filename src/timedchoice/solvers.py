@@ -75,7 +75,7 @@ def kkt_residual(
     Without it, optimality needs zero gradient on the support and
     nonnegative gradient off it.  Both are scaled by 1 + max |gradient|.
     """
-    g = 2.0 * (np.einsum("kij,kj->ki", G, p, optimize=True) - h)
+    g = 2.0 * (np.matmul(G, p[:, :, None])[:, :, 0] - h)
     scale = 1.0 + np.abs(g).max(axis=1)
     on = p > SUPPORT_TOL
     if sum_constraint:
@@ -104,13 +104,13 @@ def _fista(G, h, r0, *, sum_constraint, max_iter, tol):
     t_acc = 1.0
     it = 0
     while it < max_iter:
-        grad = 2.0 * (np.einsum("kij,kj->ki", G, y, optimize=True) - h)
+        grad = 2.0 * (np.matmul(G, y[:, :, None])[:, :, 0] - h)
         r_new = proj(y - step * grad)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
         y = r_new + ((t_acc - 1.0) / t_new) * (r_new - r)
         # Restart acceleration when momentum points uphill.
         ascent = np.einsum("ki,ki->k", r_new - r, grad) > 0
-        if np.any(ascent):
+        if ascent.any():
             y[ascent] = r_new[ascent]
         r, t_acc = r_new, t_new
         it += 1

@@ -297,3 +297,24 @@ class TestExitCodes:
         assert run(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["survive", "--tol", "abc"],
+            ["survive", "--tol", "-1e-9"],
+            ["estimate", "--sims", "many"],
+            ["estimate", "--seed", "1.5"],
+            ["test", "--counts", "counts.csv", "--boot", "x"],
+            ["test", "--counts", "counts.csv", "--alpha", "five"],
+        ],
+    )
+    def test_malformed_number_is_exit_one(self, capsys, args):
+        """Argparse's own rejections are validation problems, not numerical failures."""
+        with pytest.raises(SystemExit) as exc:
+            run(args[:1] + ["--pi", "pi.csv"] + args[1:])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: timedchoice {args[0]} ")
+        assert f"\nerror: argument {args[-2]}: " in err
+        assert "Traceback" not in err

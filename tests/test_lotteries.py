@@ -153,6 +153,19 @@ class TestOrderingTable:
         for a, b in zip(coarse[:-1], fine[:-1]):
             assert abs(a.hi - b.hi) < 1e-5
 
+    def test_exact_tie_at_the_upper_end(self):
+        """Equal expected log payoff ties at sigma = 1; the table reads just below it."""
+        lots = (
+            tc.Lottery("A", ((2, 0.5), (8, 0.5))),
+            tc.Lottery("B", ((4, 1.0),)),
+        )
+        with pytest.raises(CutoffTieError):
+            tc.crra_rank(lots, 1.0)
+        # By AM-GM, A's expected utility exceeds B's at every sigma below 1.
+        assert tc.crra_ordering_table(lots) == (
+            lotteries.OrderingInterval(-1.0, 1.0, tc.PreferenceOrdering((0, 1))),
+        )
+
     def test_intervals_tile_the_range(self):
         lots = tc.experiment_lotteries(include_outside=False)
         table = tc.crra_ordering_table(lots)

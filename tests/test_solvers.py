@@ -209,6 +209,15 @@ def _reference_polish_one(G, h, r, *, sum_constraint):
     return best
 
 
+def _gram_form(M, b, w, *, lower, sum_constraint):
+    """``(G, h, r0)`` as :func:`constrained_lstsq_batch` hands them to FISTA."""
+    k, _, d = M.shape
+    span = max(1.0 - d * lower, 0.0) if sum_constraint else 1.0
+    c = (b - lower * M.sum(axis=2)) / max(span, 1e-300)
+    G, h = _grams(M, c, w)
+    return G, h, np.full((k, d), (1.0 / d) if sum_constraint else 0.0)
+
+
 def _reference_batch(M, b, *, weights=None, lower=0.0, sum_constraint=True):
     """The batched solver with a 400-iteration warm start and a per-problem polish.
 
@@ -222,9 +231,7 @@ def _reference_batch(M, b, *, weights=None, lower=0.0, sum_constraint=True):
     b = np.broadcast_to(np.asarray(b, dtype=np.float64), (k, m))
     w = np.broadcast_to(np.asarray(1.0 if weights is None else weights, dtype=np.float64), (k, m))
     span = max(1.0 - d * lower, 0.0) if sum_constraint else 1.0
-    c = (b - lower * M.sum(axis=2)) / max(span, 1e-300)
-    G, h = _grams(M, c, w)
-    r0 = np.full((k, d), (1.0 / d) if sum_constraint else 0.0)
+    G, h, r0 = _gram_form(M, b, w, lower=lower, sum_constraint=sum_constraint)
     r, it = _fista(G, h, r0, sum_constraint=sum_constraint, max_iter=400, tol=kkt_tol)
     for i in range(k):
         r[i] = _reference_polish_one(G[i], h[i], r[i], sum_constraint=sum_constraint)
@@ -365,3 +372,103 @@ class TestPolishFallbacks:
         assert np.all(res <= 1e-8)
         np.testing.assert_allclose(p, clean[0], atol=1e-9)
         np.testing.assert_allclose(obj, clean[1], rtol=1e-9, atol=1e-15)
+
+
+def _reference_kkt_residual(G, h, p, *, sum_constraint):
+    """:func:`kkt_residual` with its gradient as a planned ``einsum``."""
+    g = 2.0 * (np.einsum("kij,kj->ki", G, p, optimize=True) - h)
+    scale = 1.0 + np.abs(g).max(axis=1)
+    on = p > solvers.SUPPORT_TOL
+    if sum_constraint:
+        g_support_max = np.where(on, g, -np.inf).max(axis=1)
+        res = g_support_max - g.min(axis=1)
+    else:
+        stat = np.abs(np.where(on, g, 0.0)).max(axis=1)
+        neg = np.maximum(0.0, -np.where(on, 0.0, g)).max(axis=1)
+        res = np.maximum(stat, neg)
+    return np.maximum(res, 0.0) / scale
+
+
+def _reference_fista(G, h, r0, *, sum_constraint, max_iter, tol):
+    """:func:`_fista` with its gradient as a planned ``einsum``."""
+    lips = 2.0 * np.linalg.eigvalsh(G)[:, -1]
+    lips = np.maximum(lips, 1e-300)
+    step = (1.0 / lips)[:, None]
+
+    def proj(v):
+        if sum_constraint:
+            return project_simplex(v)
+        return np.maximum(v, 0.0)
+
+    r = proj(r0.copy())
+    y = r.copy()
+    t_acc = 1.0
+    it = 0
+    while it < max_iter:
+        grad = 2.0 * (np.einsum("kij,kj->ki", G, y, optimize=True) - h)
+        r_new = proj(y - step * grad)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
+        y = r_new + ((t_acc - 1.0) / t_new) * (r_new - r)
+        # Restart acceleration when momentum points uphill.
+        ascent = np.einsum("ki,ki->k", r_new - r, grad) > 0
+        if np.any(ascent):
+            y[ascent] = r_new[ascent]
+        r, t_acc = r_new, t_new
+        it += 1
+        if it % solvers.FISTA_WINDOW == 0:
+            if _reference_kkt_residual(G, h, r, sum_constraint=sum_constraint).max() < tol:
+                break
+    return r, it
+
+
+class TestFistaFrozenReference:
+    """``_fista`` and ``kkt_residual`` return the einsum reference's bytes.
+
+    A two-operand ``einsum(..., optimize=True)`` reshapes its operands and
+    calls ``np.matmul``, so the solver's direct ``matmul`` does the same
+    arithmetic without planning a contraction path on every call.
+    """
+
+    @staticmethod
+    def _check(G, h, r0, *, sum_constraint, max_iter, tol):
+        kw = dict(sum_constraint=sum_constraint, max_iter=max_iter, tol=tol)
+        r, it = _fista(G, h, r0, **kw)
+        want_r, want_it = _reference_fista(G, h, r0, **kw)
+        assert it == want_it
+        _assert_bytes_equal([r], [want_r])
+        _assert_bytes_equal(
+            [kkt_residual(G, h, r, sum_constraint=sum_constraint)],
+            [_reference_kkt_residual(G, h, r, sum_constraint=sum_constraint)],
+        )
+        return it
+
+    def test_bundled_pool_unweighted(self, bundled_pool):
+        pi, ms = bundled_pool
+        b = np.broadcast_to(pi.vec(), ms.shape[:2])
+        G, h, r0 = _gram_form(ms, b, np.ones(ms.shape[:2]), lower=0.0, sum_constraint=True)
+        self._check(G, h, r0, sum_constraint=True, max_iter=400, tol=solvers.KKT_TOL)
+
+    def test_bundled_pool_with_test_weights_and_floor(self, bundled_pool):
+        pi, ms = bundled_pool
+        d = ms.shape[2]
+        b = np.broadcast_to(pi.vec(), ms.shape[:2])
+        w = np.broadcast_to(variance_weights(pi).inverse, ms.shape[:2])
+        lower = default_tau(d, pi.total_count) / d
+        G, h, r0 = _gram_form(ms, b, w, lower=lower, sum_constraint=True)
+        self._check(G, h, r0, sum_constraint=True, max_iter=400, tol=solvers.KKT_TOL)
+
+    def test_orthant_mode(self, bundled_pool):
+        pi, ms = bundled_pool
+        ms = ms[:256]
+        b = np.broadcast_to(pi.vec(), ms.shape[:2])
+        G, h, r0 = _gram_form(ms, b, np.ones(ms.shape[:2]), lower=0.0, sum_constraint=False)
+        self._check(G, h, r0, sum_constraint=False, max_iter=400, tol=solvers.KKT_TOL)
+
+    def test_duplicate_columns_straggler_regime(self):
+        """A zero tolerance runs the whole budget, as the straggler pass can."""
+        rng = np.random.default_rng(0)
+        M = rng.normal(size=(8, 9, 4))
+        M[::2, :, 3] = M[::2, :, 1]
+        b = rng.normal(size=(8, 9))
+        G, h, r0 = _gram_form(M, b, rng.random((8, 9)), lower=0.0, sum_constraint=True)
+        assert self._check(G, h, r0, sum_constraint=True, max_iter=1_200, tol=0.0) == 1_200
