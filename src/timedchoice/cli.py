@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 
 import numpy as np
@@ -288,7 +289,15 @@ def _cmd_crra_table(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a malformed command line as a validation problem (exit 1)."""
+    """Reports a malformed command line as a validation problem (exit 1).
+
+    A value such as ``-1e-9`` is read as a negative number, not as an
+    option: argparse's own pattern knows only ``-1`` and ``-.5`` forms.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -7,10 +7,14 @@ attention rule or bootstrap replication, so the implementation works on
 stacked Gram matrices.  One window of accelerated projected gradient
 (FISTA) over the whole batch gives a warm start; an exact active-set polish
 then pins each problem's active face and solves the KKT equations on it,
-so clean problems finish at machine precision.  The polish advances the
+so clean problems finish at machine precision.  It is the primal
+active-set method: when a face's solution leaves the feasible set, the
+iterate steps to the boundary (the ratio test) before a coordinate leaves
+the face, so the path cannot cycle between faces.  The polish advances the
 problems in lockstep and solves, each round, all KKT systems of one support
-size with one stacked solve.  Problems still above the tolerance get a
-second, full-budget FISTA pass and another polish.
+size with one stacked solve.  Problems still above the tolerance after it,
+which the polish's round cap or a singular face can leave, get a second,
+full-budget FISTA pass and another polish as a last resort.
 
 The polish's answer depends on the warm start only through the face it
 ends on.  Where the minimizer is unique, that is its support from any
@@ -123,12 +127,20 @@ def _fista(G, h, r0, *, sum_constraint, max_iter, tol):
 def _polish_batch(G, h, r, *, sum_constraint):
     """Exact active-set refinement of a batch of problems in Gram form.
 
-    Every problem follows its own active-set path: start from the support
-    of ``r``; solve the KKT equations on the support; if that gives a
-    negative coordinate, drop the most negative one, otherwise let in the
-    coordinate with the most negative gradient; stop when none enters or
-    after ``4 d + 8`` rounds.  The result is the last nonnegative
-    candidate (``r`` itself if there was none).  The problems advance in
+    Every problem follows its own primal active-set path (Nocedal & Wright,
+    *Numerical Optimization*, Algorithm 16.3) from the support of ``r``,
+    keeping a feasible iterate that starts as ``r`` with the entries off
+    the support set to zero.  Each round solves the KKT equations on the
+    support.  If that gives a negative coordinate, the iterate moves
+    toward the solution until the first coordinate reaches zero (the ratio
+    test), and that coordinate and any other now at zero leave the
+    support; moving to the boundary first is what keeps the path from
+    cycling between faces.  Otherwise the solution becomes the iterate and
+    the coordinate with the most negative gradient enters.  A problem stops
+    when none enters or after ``4 d + 8`` rounds.  The result is the last
+    nonnegative candidate (``r`` itself if there was none).  A problem the
+    round cap or a singular face leaves above the tolerance goes on to
+    :func:`constrained_lstsq_batch`'s long FISTA pass.  The problems advance in
     lockstep: each round solves all KKT systems of one support size with
     one stacked ``np.linalg.solve``, which runs the same LAPACK routine on
     the same matrix as a solve of one problem, so the answers do not
@@ -138,6 +150,7 @@ def _polish_batch(G, h, r, *, sum_constraint):
     best = r.copy()
     thresh = np.maximum(SUPPORT_TOL, 1e-9 * np.maximum(r.max(axis=1), 1.0))
     support = r > thresh[:, None]
+    cur = np.where(support, r, 0.0)
     empty = np.flatnonzero(~support.any(axis=1))
     support[empty, np.argmax(h[empty], axis=1)] = True
     active = np.arange(k)
@@ -170,16 +183,24 @@ def _polish_batch(G, h, r, *, sum_constraint):
                         sol, *_ = np.linalg.lstsq(kkt[j], rhs[j, :, 0], rcond=None)
                     r_s[j] = sol[:s]
             neg = (r_s < -1e-12).any(axis=1)
-            # Drop the most negative coordinate and retry; a problem whose
-            # support runs empty stops.
-            drop = ids[neg]
-            support[drop, idx[neg, np.argmin(r_s[neg], axis=1)]] = False
-            done.append(drop[~support[drop].any(axis=1)])
+            # Step toward the solution up to the first blocking coordinate,
+            # drop it and any other that reaches zero, and retry; a problem
+            # whose support runs empty stops.
+            blocked, at, x = ids[neg], idx[neg], r_s[neg]
+            c, down = cur[blocked[:, None], at], x < 0
+            ratio = np.where(down, c / np.where(down, c - x, 1.0), np.inf)
+            first = ratio.argmin(axis=1)
+            step = c + ratio.min(axis=1, keepdims=True) * (x - c)
+            zero = down & (step <= 0)
+            zero[np.arange(blocked.size), first] = True
+            cur[blocked[:, None], at] = np.where(zero, 0.0, step)
+            support[blocked[:, None], at] = ~zero
+            done.append(blocked[~support[blocked].any(axis=1)])
             ok = ~neg
             ids, idx = ids[ok], idx[ok]
             cand = np.zeros((ids.size, d))
             np.put_along_axis(cand, idx, np.maximum(r_s[ok], 0.0), axis=1)
-            best[ids] = cand
+            best[ids] = cur[ids] = cand
             g = 2.0 * (np.matmul(G[ids], cand[:, :, None])[:, :, 0] - h[ids])
             if sum_constraint:
                 nu = np.take_along_axis(g, idx, axis=1).max(axis=1, keepdims=True)

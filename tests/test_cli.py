@@ -298,11 +298,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("tol", [["--tol", "-1e-9"], ["--tol=-1e-9"]])
+    def test_negative_exponent_reaches_the_tol_check(self, tmp_path, capsys, tol):
+        """``-1e-9`` is a value, not an option, so ``survive`` rejects it as a tolerance."""
+        pi = tmp_path / "pi.csv"
+        pi.write_text("period,a,b\n1,0.5,0.5\n2,0.25,0.75\n")
+        assert run(["survive", "--pi", pi, *tol]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: tol must be finite and nonnegative, got -1e-09\n"
+
     @pytest.mark.parametrize(
         "args",
         [
             ["survive", "--tol", "abc"],
-            ["survive", "--tol", "-1e-9"],
+            ["survive", "--tol", "-1e"],
             ["estimate", "--sims", "many"],
             ["estimate", "--seed", "1.5"],
             ["test", "--counts", "counts.csv", "--boot", "x"],
