@@ -106,15 +106,9 @@ def initial_row_outside(menu: Menu) -> NDArray[np.float64]:
 def _superset_matrix(enum_key: tuple[int, bool]) -> NDArray:
     """Boolean (d_c, d_c) matrix: [j, s] = enumerated set s strictly contains j."""
     n_bits, outside = enum_key
-    full = 1 << n_bits
-    offset = 0 if outside else 1
-    d_c = full - offset
-    out = np.zeros((d_c, d_c), dtype=bool)
-    for j in range(d_c):
-        rj = j + offset
-        for s in range(d_c):
-            rs = s + offset
-            out[j, s] = rs != rj and (rs & rj) == rj
+    masks = np.arange(0 if outside else 1, 1 << n_bits)
+    out = (masks[None] & masks[:, None]) == masks[:, None]
+    np.fill_diagonal(out, False)
     out.setflags(write=False)
     return out
 

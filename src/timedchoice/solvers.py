@@ -4,23 +4,24 @@ Solves ``min_p ||W^(1/2) (M p - b)||^2`` subject to ``p >= lower`` and,
 optionally, ``sum(p) = 1``.  Problems of this shape are small (a few
 to a few hundred variables) but arrive in large batches, one per simulated
 attention rule or bootstrap replication, so the implementation works on
-stacked Gram matrices.  One window of accelerated projected gradient
-(FISTA) over the whole batch gives a warm start; an exact active-set polish
-then pins each problem's active face and solves the KKT equations on it,
-so clean problems finish at machine precision.  It is the primal
-active-set method: when a face's solution leaves the feasible set, the
-iterate steps to the boundary (the ratio test) before a coordinate leaves
-the face, so the path cannot cycle between faces.  The polish advances the
-problems in lockstep and solves, each round, all KKT systems of one support
-size with one stacked solve.  Problems still above the tolerance after it,
-which the polish's round cap or a singular face can leave, get a second,
-full-budget FISTA pass and another polish as a last resort.
+stacked Gram matrices.  Each problem is solved exactly by the primal
+active-set method (Nocedal & Wright, *Numerical Optimization*, Algorithm
+16.3; Lawson & Hanson's NNLS is the orthant case).  It starts at the best
+vertex of the simplex (at the origin without the sum constraint), lets one
+coordinate enter per round, and solves the KKT equations on the current
+face, so clean problems finish at machine precision.  When a face's
+solution leaves the feasible set, the iterate steps to the boundary (the
+ratio test) before a coordinate leaves the face, so the path cannot cycle
+between faces.  The problems advance in lockstep and each round solves all
+KKT systems of one support size with one stacked solve.  A problem that
+the round cap leaves above the tolerance returns its KKT residual, and
+every caller acts on that.
 
-The polish's answer depends on the warm start only through the face it
-ends on.  Where the minimizer is unique, that is its support from any
-start, so a longer warm start gives the same solution bit for bit.  Where
-the minimizer is not unique (fewer rows than unknowns, repeated columns),
-the warm start decides which minimizer is returned.
+Where the minimizer is unique, its support is the face the method ends
+on, and the final solve on that face gives the solution bit for bit
+whatever path led there.  Where the minimizer is not unique (fewer rows
+than unknowns, repeated or zero columns), the path decides which
+minimizer is returned.
 """
 
 from __future__ import annotations
@@ -37,35 +38,18 @@ KKT_TOL = 1e-8
 #: Entries of a solution below this are treated as at the lower bound.
 SUPPORT_TOL = 1e-12
 
-#: FISTA checks convergence every this many iterations, and the first pass
-#: of :func:`constrained_lstsq_batch` runs one such window: it only warm
-#: starts the exact polish, which settles the active face from there.
-FISTA_WINDOW = 32
-
-#: Accelerated-gradient iteration budget of :func:`constrained_lstsq_batch`.
-MAX_ITER = 50_000
-
-
-def project_simplex(v: NDArray) -> NDArray:
-    """Euclidean projection of each row of ``v`` onto the probability simplex."""
-    v = np.asarray(v, dtype=np.float64)
-    shape = v.shape
-    flat = v.reshape(-1, shape[-1])
-    srt = np.sort(flat, axis=1)[:, ::-1]
-    csum = np.cumsum(srt, axis=1) - 1.0
-    arange = np.arange(1, shape[-1] + 1)
-    cond = srt - csum / arange > 0
-    rho = shape[-1] - np.argmax(cond[:, ::-1], axis=1) - 1
-    theta = csum[np.arange(flat.shape[0]), rho] / (rho + 1)
-    out = np.maximum(flat - theta[:, None], 0.0)
-    return out.reshape(shape)
-
 
 def _grams(M: NDArray, b: NDArray, w: NDArray):
-    """Batched Gram matrices G = M'WM and linear terms h = M'Wb."""
+    """Batched Gram matrices G = M'WM and linear terms h = M'Wb.
+
+    G is built as ``(M' (WM))'``, so each slice is stored transposed, as the
+    planned ``einsum("kmi,kmj->kij", Mw, M)`` stores it.  The values are the
+    same in either layout, but :func:`kkt_residual`'s ``matmul`` rounds
+    differently on the two.
+    """
     Mw = M * w[:, :, None]
-    G = np.einsum("kmi,kmj->kij", Mw, M, optimize=True)
-    h = np.einsum("kmi,km->ki", Mw, b, optimize=True)
+    G = (M.transpose(0, 2, 1) @ Mw).transpose(0, 2, 1)
+    h = (Mw.transpose(0, 2, 1) @ b[:, :, None])[:, :, 0]
     return G, h
 
 
@@ -92,68 +76,39 @@ def kkt_residual(
     return np.maximum(res, 0.0) / scale
 
 
-def _fista(G, h, r0, *, sum_constraint, max_iter, tol):
-    """Accelerated projected gradient on the batch; returns (r, iterations)."""
-    lips = 2.0 * np.linalg.eigvalsh(G)[:, -1]
-    lips = np.maximum(lips, 1e-300)
-    step = (1.0 / lips)[:, None]
-
-    def proj(v):
-        if sum_constraint:
-            return project_simplex(v)
-        return np.maximum(v, 0.0)
-
-    r = proj(r0.copy())
-    y = r.copy()
-    t_acc = 1.0
-    it = 0
-    while it < max_iter:
-        grad = 2.0 * (np.matmul(G, y[:, :, None])[:, :, 0] - h)
-        r_new = proj(y - step * grad)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        y = r_new + ((t_acc - 1.0) / t_new) * (r_new - r)
-        # Restart acceleration when momentum points uphill.
-        ascent = np.einsum("ki,ki->k", r_new - r, grad) > 0
-        if ascent.any():
-            y[ascent] = r_new[ascent]
-        r, t_acc = r_new, t_new
-        it += 1
-        if it % FISTA_WINDOW == 0:
-            if kkt_residual(G, h, r, sum_constraint=sum_constraint).max() < tol:
-                break
-    return r, it
-
-
-def _polish_batch(G, h, r, *, sum_constraint):
-    """Exact active-set refinement of a batch of problems in Gram form.
+def _polish_batch(G, h, *, sum_constraint):
+    """Exact active-set solve of a batch of problems in Gram form.
 
     Every problem follows its own primal active-set path (Nocedal & Wright,
-    *Numerical Optimization*, Algorithm 16.3) from the support of ``r``,
-    keeping a feasible iterate that starts as ``r`` with the entries off
-    the support set to zero.  Each round solves the KKT equations on the
-    support.  If that gives a negative coordinate, the iterate moves
-    toward the solution until the first coordinate reaches zero (the ratio
-    test), and that coordinate and any other now at zero leave the
-    support; moving to the boundary first is what keeps the path from
-    cycling between faces.  Otherwise the solution becomes the iterate and
-    the coordinate with the most negative gradient enters.  A problem stops
-    when none enters or after ``4 d + 8`` rounds.  The result is the last
-    nonnegative candidate (``r`` itself if there was none).  A problem the
-    round cap or a singular face leaves above the tolerance goes on to
-    :func:`constrained_lstsq_batch`'s long FISTA pass.  The problems advance in
+    *Numerical Optimization*, Algorithm 16.3).  With the sum constraint it
+    starts at the best vertex ``e_j``, ``j = argmin_j (G_jj - 2 h_j)``;
+    without it, at the origin with support ``{argmax_j h_j}``, as in Lawson
+    & Hanson's NNLS.  That start is the first feasible iterate.  Each round
+    solves the KKT equations on the support.  If that gives a negative
+    coordinate, the iterate moves toward the solution until the first
+    coordinate reaches zero (the ratio test), and that coordinate and any
+    other now at zero leave the support; moving to the boundary first is
+    what keeps the path from cycling between faces.  Otherwise the solution
+    becomes the iterate and the coordinate with the most negative gradient
+    enters.  A problem stops when none enters or after ``4 d + 8`` rounds,
+    and the result is its iterate, which no step makes worse;
+    :func:`constrained_lstsq_batch` reports the residual of a problem the
+    round cap leaves above the tolerance.  The problems advance in
     lockstep: each round solves all KKT systems of one support size with
     one stacked ``np.linalg.solve``, which runs the same LAPACK routine on
     the same matrix as a solve of one problem, so the answers do not
     depend on how the batch is grouped.
     """
     k, d = h.shape
-    best = r.copy()
-    thresh = np.maximum(SUPPORT_TOL, 1e-9 * np.maximum(r.max(axis=1), 1.0))
-    support = r > thresh[:, None]
-    cur = np.where(support, r, 0.0)
-    empty = np.flatnonzero(~support.any(axis=1))
-    support[empty, np.argmax(h[empty], axis=1)] = True
     active = np.arange(k)
+    if sum_constraint:
+        start = np.argmin(np.diagonal(G, axis1=1, axis2=2) - 2.0 * h, axis=1)
+    else:
+        start = np.argmax(h, axis=1)
+    support = np.zeros((k, d), dtype=bool)
+    support[active, start] = True
+    # The vertex e_j, or the origin without the sum constraint.
+    cur = support * float(sum_constraint)
     for _ in range(4 * d + 8):
         if active.size == 0:
             break
@@ -200,7 +155,7 @@ def _polish_batch(G, h, r, *, sum_constraint):
             ids, idx = ids[ok], idx[ok]
             cand = np.zeros((ids.size, d))
             np.put_along_axis(cand, idx, np.maximum(r_s[ok], 0.0), axis=1)
-            best[ids] = cur[ids] = cand
+            cur[ids] = cand
             g = 2.0 * (np.matmul(G[ids], cand[:, :, None])[:, :, 0] - h[ids])
             if sum_constraint:
                 nu = np.take_along_axis(g, idx, axis=1).max(axis=1, keepdims=True)
@@ -214,7 +169,7 @@ def _polish_batch(G, h, r, *, sum_constraint):
             enter = np.where(entering[more], g[more], np.inf).argmin(axis=1)
             support[ids, enter] = True
         active = np.setdiff1d(active, np.concatenate(done), assume_unique=True)
-    return best
+    return cur
 
 
 def constrained_lstsq_batch(
@@ -234,7 +189,8 @@ def constrained_lstsq_batch(
         weights: optional (k, m) or (m,) nonnegative diagonal weights.
         lower: common componentwise lower bound on the solution.
         sum_constraint: impose ``sum(p) = 1``; otherwise only ``p >= lower``.
-        kkt_tol: target normalized KKT residual.
+        kkt_tol: the threshold ``kkt_res`` is judged against.  It does not
+            change the solve.
 
     Returns:
         (p, objective, kkt_res): arrays of shape (k, d), (k,), (k,).  A
@@ -259,42 +215,27 @@ def constrained_lstsq_batch(
     else:
         span = 1.0
 
-    # Substitute p = lower + span * r with r on the unit simplex (or p =
-    # lower + r, r >= 0, without the sum constraint).
-    shift = lower * M.sum(axis=2)  # M @ (lower * ones)
     if sum_constraint and span == 0.0:
         # The lower bounds use up the whole budget: unique feasible point.
         p = np.full((k, d), lower)
-        resid = np.einsum("kmd,kd->km", M, p, optimize=True) - b
-        obj = (w * resid**2).sum(axis=1)
-        return p, obj, np.zeros(k)
-
-    c = (b - shift) / max(span, 1e-300)
-    G, h = _grams(M, c, w)
-    r0 = np.full((k, d), (1.0 / d) if sum_constraint else 0.0)
-    r, it = _fista(G, h, r0, sum_constraint=sum_constraint, max_iter=FISTA_WINDOW, tol=kkt_tol)
-    r = _polish_batch(G, h, r, sum_constraint=sum_constraint)
-    res = kkt_residual(G, h, r, sum_constraint=sum_constraint)
-    # A second, longer gradient pass for any stragglers.
-    bad = res > kkt_tol
-    if np.any(bad):
-        r_bad, _ = _fista(
-            G[bad], h[bad], r[bad],
-            sum_constraint=sum_constraint, max_iter=MAX_ITER - it, tol=kkt_tol,
-        )
-        r[bad] = _polish_batch(G[bad], h[bad], r_bad, sum_constraint=sum_constraint)
-        res = kkt_residual(G, h, r, sum_constraint=sum_constraint)
-
-    p = lower + span * r
-    if sum_constraint:
-        # Feasibility exactly: renormalize the free part and clamp dust.
-        free = np.maximum(p - lower, 0.0)
-        tot = free.sum(axis=1, keepdims=True)
-        good = tot[:, 0] > 0
-        free[good] *= span / tot[good]
-        p = lower + free
+        res = np.zeros(k)
     else:
-        p = np.maximum(p, lower)
+        # Substitute p = lower + span * r with r on the unit simplex (or p =
+        # lower + r, r >= 0, without the sum constraint).
+        c = (b - lower * M.sum(axis=2)) / max(span, 1e-300)
+        G, h = _grams(M, c, w)
+        r = _polish_batch(G, h, sum_constraint=sum_constraint)
+        res = kkt_residual(G, h, r, sum_constraint=sum_constraint)
+        p = lower + span * r
+        if sum_constraint:
+            # Feasibility exactly: renormalize the free part and clamp dust.
+            free = np.maximum(p - lower, 0.0)
+            tot = free.sum(axis=1, keepdims=True)
+            good = tot[:, 0] > 0
+            free[good] *= span / tot[good]
+            p = lower + free
+        else:
+            p = np.maximum(p, lower)
     resid = np.einsum("kmd,kd->km", M, p, optimize=True) - b
     obj = (w * resid**2).sum(axis=1)
     return p, obj, res

@@ -74,6 +74,23 @@ class TestStep:
         np.testing.assert_allclose(blocks.sum(axis=2), 1.0, atol=1e-9)
 
 
+class TestSupersetMatrix:
+    @pytest.mark.parametrize("outside", [True, False])
+    @pytest.mark.parametrize("n_bits", range(1, 7))
+    def test_matches_the_pairwise_loop(self, n_bits, outside):
+        """[j, s] is set exactly when enumerated set s strictly contains set j."""
+        offset = 0 if outside else 1
+        d_c = (1 << n_bits) - offset
+        want = np.zeros((d_c, d_c), dtype=bool)
+        for j in range(d_c):
+            for s in range(d_c):
+                rj, rs = j + offset, s + offset
+                want[j, s] = rs != rj and (rs & rj) == rj
+        got = _superset_matrix((n_bits, outside))
+        assert got.dtype == bool and not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+
+
 class TestSampleAttentionRule:
     def test_single_period_returns_initial_row(self, menu6, orderings6):
         config = tc.SamplerConfig(d_t=1, seed=0, outside_mode=True)
