@@ -13,7 +13,6 @@ preference distribution (exactly, when the design has full column rank).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from numbers import Integral
 from typing import NamedTuple
 
@@ -29,7 +28,7 @@ from .core import (
     enumerate_sets,
 )
 from .errors import SolverError, ValidationError
-from .sampler import SamplerConfig, _draw_rules, child_seeds
+from .sampler import SamplerConfig, _child_states, _draw_rules, _seed_sequence
 from .solvers import KKT_TOL, constrained_lstsq_batch, single_solution
 from .transform import (
     ChoiceTransform,
@@ -137,7 +136,8 @@ def _score_pool(
     if k < 1:
         raise ValidationError("need at least one simulation")
     enum, d_pref, d_t = transform.sets, transform.d_pref, sampler_config.d_t
-    seeds = child_seeds(sampler_config.seed, k)
+    # Built once per pool: SeedSequence(None) draws fresh entropy each time.
+    root = _seed_sequence(sampler_config.seed)
     b = pi.vec()
     n = k + len(extra_rules)
     objectives = np.full(n, np.inf)
@@ -147,9 +147,10 @@ def _score_pool(
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
         blocks = buffer[: stop - start]
-        drawn = list(islice(seeds, CHUNK))
-        _draw_rules(enum, d_pref, sampler_config, drawn, blocks[: len(drawn)])
-        for row, rule in zip(blocks[len(drawn) :], extra_rules[max(start - k, 0) :]):
+        drawn = max(0, min(stop, k) - start)
+        states = _child_states(root, root.n_children_spawned + start, drawn)
+        _draw_rules(enum, d_pref, sampler_config, states, blocks[:drawn])
+        for row, rule in zip(blocks[drawn:], extra_rules[max(start - k, 0) :]):
             row[...] = rule.blocks()
         ms = design_matrix_batch(blocks, transform)
         p, obj, res = constrained_lstsq_batch(

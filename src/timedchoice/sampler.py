@@ -17,22 +17,25 @@ coordinates sit on the boundary) take a guaranteed-feasible fallback
 that shifts mass from each loaded set onto a few of its strict
 supersets, which is always a monotone move.
 
-A pool of rules draws rule ``i`` from child ``i`` of the configured seed
-(see :func:`child_seeds`), so a pool is reproducible for integer and
+A pool of rules draws rule ``i`` from child ``i`` of the configured seed,
+so a pool is reproducible for integer and
 :class:`numpy.random.SeedSequence` seeds alike and a larger pool extends a
-smaller one without changing its draws.
+smaller one without changing its draws.  The children's seeds are hashed
+in one vectorised pass (see :func:`_child_states`) instead of building a
+``SeedSequence`` per rule.
 
 Pools are drawn in lockstep: a block of rules is stepped as one stack of
-rows, while each rule keeps its own generator and draws the same numbers
-in the same order as it would alone.  A rule drawn in a pool is therefore
-bit-identical to the same rule drawn one at a time by
-:func:`sample_attention_rule` from its child seed.
+rows.  Each rule's PCG64 is seeded from the bulk hash as ``default_rng``
+would seed it, so every rule draws the same numbers in the same order as it
+would alone.  A rule drawn in a pool is therefore bit-identical to the same
+rule drawn one at a time by :func:`sample_attention_rule` from its child
+seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -64,6 +67,10 @@ FALLBACK_MAX_TARGETS = 3
 #: single rule with more rows stays bounded too.
 _BLOCK_RULES = 64
 _BLOCK_CELLS = _BLOCK_RULES * 6 * 32 * 32
+
+#: :func:`sample_attention_rules` hashes child seeds this many at a time, so
+#: the hash's temporaries (about 90 bytes a rule) do not grow with the pool.
+_STATE_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -216,11 +223,15 @@ def _max_step(rows, xi):
 
     ``inf`` for a row whose direction has no coordinate above the floor.
     """
-    lo = np.full(rows.shape, np.inf)
-    np.divide(rows, -xi, out=lo, where=xi < -GAMMA_FLOOR)
-    hi = np.full(rows.shape, np.inf)
-    np.divide(1.0 - rows, xi, out=hi, where=xi > GAMMA_FLOOR)
-    return np.minimum(lo.min(axis=1), hi.min(axis=1))
+    # A coordinate bounds the step from below (rows / -xi) or from above
+    # ((1 - rows) / xi), never both, and -xi = |xi| where xi < 0: one
+    # division over |xi| gives both ratios, the same bytes as two.
+    bound = np.abs(xi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(xi > 0.0, 1.0 - rows, rows)
+        step /= bound
+    step[bound <= GAMMA_FLOOR] = np.inf
+    return step.min(axis=1)
 
 
 def _draw_directions(states, psi, enum):
@@ -289,26 +300,155 @@ def _initial_states(
     # A fixed starting row would make every sampled rule (and anything
     # generated from one) agree exactly in the first period, collapsing the
     # pool's diversity there; draw each block's start uniformly instead.
-    alpha = np.ones(enum.d_c)
-    return np.stack([rng.dirichlet(alpha, size=d_pref) for rng in rngs])
+    # This is ``rng.dirichlet(np.ones(d_c), size=d_pref)`` bit for bit: with
+    # alpha = 1 numpy draws standard exponentials, sums each row left to
+    # right and multiplies it by the sum's reciprocal.  A pairwise sum
+    # (``x.sum(axis=-1)``) rounds differently.
+    x = np.empty((len(rngs), d_pref, enum.d_c))
+    for rng, rows in zip(rngs, x):
+        rng.standard_exponential(out=rows)
+    x *= 1.0 / np.add.accumulate(x, axis=2)[:, :, -1:]
+    return x
 
 
-def _draw_rules(enum, d_pref, config, seeds, out):
-    """Draw rule ``i`` into ``out[i]``, ``out`` being ``(len(seeds), d_t, d_pref, d_c)``.
+# numpy.random.SeedSequence's hash (O'Neill's seed_seq design, as numpy's
+# bit_generator.pyx implements it).
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-    Rule i runs on ``np.random.default_rng(seeds[i])``.  Rules step in
-    lockstep blocks (see :func:`_step_rows`) and equal the rules drawn one
-    at a time bit for bit.  Blocks hold at most ``_BLOCK_RULES`` rules and
-    at most ``_BLOCK_CELLS / (d_pref d_c^2)``, so a block's fallback draws
-    fit in one piece (see :func:`_superset_transfer`).
+
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` as the :class:`~numpy.random.SeedSequence` ``default_rng`` would use."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
+def _uint32_words(x) -> list[int]:
+    """The little-endian 32-bit words SeedSequence reads from entropy or a spawn key."""
+    if isinstance(x, str):
+        x = int(x, 16 if x.startswith("0x") else 10)
+    if isinstance(x, (int, np.integer)):
+        n = int(x)
+        words = [n & _MASK32]
+        while n > _MASK32:
+            n >>= 32
+            words.append(n & _MASK32)
+        return words
+    return [w for v in x for w in _uint32_words(v)]
+
+
+def _hash_constants(init, mult):
+    """SeedSequence's running hash constant: ``(xor, multiplier)`` of each hash."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield init, nxt
+        init = nxt
+
+
+def _hashmix(value, constants):
+    """One SeedSequence hash of Python ints or ``uint32`` arrays (which wrap)."""
+    xor, mult = next(constants)
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word ``x`` (a Python int) with ``y``."""
+    value = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _child_states(root: np.random.SeedSequence, first: int, count: int) -> NDArray[np.uint64]:
+    """``generate_state(4, np.uint64)`` of children ``first, ..., first + count - 1``.
+
+    Returns a C-contiguous ``(count, 4)`` ``uint64`` array whose row ``i``
+    equals ``SeedSequence(root.entropy, spawn_key=root.spawn_key + (first +
+    i,), pool_size=root.pool_size).generate_state(4, np.uint64)`` bit for
+    bit.  Children differ only in the last spawn-key word, so the
+    shared prefix (entropy padded to the pool size, the root's spawn key and
+    the cross-mix) is hashed once in Python ints, and the child index is
+    mixed in, and the state generated, as ``uint32`` array arithmetic over
+    all children at once.  A child index of 2**32 or more spans two words;
+    those children take numpy's own ``SeedSequence``.
     """
+    size = root.pool_size
+    entropy = _uint32_words(root.entropy)
+    words = entropy + [0] * (size - len(entropy)) + _uint32_words(root.spawn_key)
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, consts) for w in words[:size]]
+    for src in range(size):
+        for dst in range(size):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for w in words[size:]:
+        for dst in range(size):
+            pool[dst] = _mix(pool[dst], _hashmix(w, consts))
+    split = min(max(first, 1 << 32), first + count)
+    index = np.arange(first, split, dtype=np.int64).astype(np.uint32)
+    pool = [_mix(p, _hashmix(index, consts)) for p in pool]
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    hashed = np.empty((len(index), 8), dtype="<u4")
+    for j in range(8):
+        hashed[:, j] = _hashmix(pool[j % size], consts)
+    out = np.empty((count, 4), dtype=np.uint64)
+    out[: len(index)] = hashed.view("<u8")
+    for row, i in zip(out[len(index) :], range(split, first + count)):
+        child = np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (i,), pool_size=size
+        )
+        row[:] = child.generate_state(4, np.uint64)
+    return out
+
+
+@cache
+def _hashed_seed() -> type:
+    """The type of a seed whose ``generate_state(4, np.uint64)`` words are already computed.
+
+    ``PCG64(_hashed_seed()(words))`` seeds itself from ``words`` exactly as
+    ``PCG64(seed)`` does from ``seed.generate_state(4, np.uint64)``, the only
+    call PCG64 makes, so its generator equals ``default_rng(seed)`` bit for
+    bit.  ``words`` must be 4 contiguous ``uint64``: PCG64 reads them through
+    a raw pointer.  The type is built on first use, so importing the package
+    does not load ``numpy.random`` (6 MB).
+    """
+
+    class HashedSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return HashedSeed
+
+
+def _draw_rules(enum, d_pref, config, states, out):
+    """Draw rule ``i`` into ``out[i]``, ``out`` being ``(len(states), d_t, d_pref, d_c)``.
+
+    ``states`` is ``(n, 4)`` ``uint64``: row i is ``generate_state(4,
+    np.uint64)`` of rule i's seed (see :func:`_child_states`), and rule i runs
+    on a PCG64 seeded from that row, the stream ``np.random.default_rng`` of
+    the seed gives, without hashing the seed again.  Rules step in lockstep
+    blocks (see :func:`_step_rows`) and equal the rules drawn alone by
+    :func:`sample_attention_rule` bit for bit.  Blocks hold at most
+    ``_BLOCK_RULES`` rules and at most ``_BLOCK_CELLS / (d_pref d_c^2)``, so a
+    block's fallback draws fit in one piece (see :func:`_superset_transfer`).
+    """
+    states = np.ascontiguousarray(states, dtype=np.uint64)
+    if states.ndim != 2 or states.shape[1] != 4:
+        raise ValidationError(f"states must be (n, 4), got {states.shape}")
     block = max(1, min(_BLOCK_RULES, _BLOCK_CELLS // (d_pref * enum.d_c * enum.d_c)))
-    for a in range(0, len(seeds), block):
-        rngs = [np.random.default_rng(s) for s in seeds[a : a + block]]
+    hashed_seed = _hashed_seed()
+    for a in range(0, len(states), block):
+        rngs = [
+            np.random.Generator(np.random.PCG64(hashed_seed(words)))
+            for words in states[a : a + block]
+        ]
         rules = out[a : a + len(rngs)]
-        rules[:, 0] = states = _initial_states(enum, config, d_pref, rngs)
+        rules[:, 0] = rows = _initial_states(enum, config, d_pref, rngs)
         for t in range(1, config.d_t):
-            rules[:, t] = states = _step_rows(states, enum, rngs)
+            rules[:, t] = rows = _step_rows(rows, enum, rngs)
 
 
 def sample_attention_rule(
@@ -323,28 +463,11 @@ def sample_attention_rule(
     """
     enum = enumerate_sets(menu, outside_mode=config.outside_mode)
     blocks = np.empty((1, config.d_t, orderings.d_pref, enum.d_c))
-    _draw_rules(enum, orderings.d_pref, config, [config.seed], blocks)
+    state = _seed_sequence(config.seed).generate_state(4, np.uint64)[None]
+    _draw_rules(enum, orderings.d_pref, config, state, blocks)
     return AttentionRule(
         u=blocks[0].reshape(config.d_t, -1), set_index=enum, d_pref=orderings.d_pref
     )
-
-
-def child_seeds(seed: int | np.random.SeedSequence | None, count: int):
-    """Yield the first ``count`` child seeds of ``seed`` without spawning.
-
-    Child ``i`` equals ``root.spawn(count)[i]`` for ``root`` the seed's
-    :class:`~numpy.random.SeedSequence` as passed in, but ``root`` is left
-    untouched (``spawn`` would advance it), so every call with the same
-    seed yields the same children.
-    """
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    first = root.n_children_spawned
-    for i in range(count):
-        yield np.random.SeedSequence(
-            root.entropy,
-            spawn_key=root.spawn_key + (first + i,),
-            pool_size=root.pool_size,
-        )
 
 
 def sample_attention_rules(
@@ -352,8 +475,10 @@ def sample_attention_rules(
 ) -> NDArray[np.float64]:
     """The whole ``(count, d_t, d_pref, d_c)`` pool drawn on child streams of ``config.seed``.
 
-    ``[i]`` is rule ``i``'s :meth:`AttentionRule.blocks`.  It depends only on
-    ``config.seed`` and ``i``, so a larger ``count`` extends the pool.
+    ``[i]`` is rule ``i``'s :meth:`AttentionRule.blocks`, drawn from child
+    ``i`` of ``config.seed`` (``root.spawn(count)[i]`` for ``root`` the seed's
+    :class:`~numpy.random.SeedSequence`, which is left unspawned).  It depends
+    only on ``config.seed`` and ``i``, so a larger ``count`` extends the pool.
 
     Raises:
         ValidationError: ``count`` is negative.
@@ -362,5 +487,10 @@ def sample_attention_rules(
         raise ValidationError(f"count must be nonnegative, got {count}")
     enum = enumerate_sets(menu, outside_mode=config.outside_mode)
     pool = np.empty((count, config.d_t, orderings.d_pref, enum.d_c))
-    _draw_rules(enum, orderings.d_pref, config, list(child_seeds(config.seed, count)), pool)
+    root = _seed_sequence(config.seed)
+    for start in range(0, count, _STATE_ROWS):
+        states = _child_states(
+            root, root.n_children_spawned + start, min(_STATE_ROWS, count - start)
+        )
+        _draw_rules(enum, orderings.d_pref, config, states, pool[start : start + len(states)])
     return pool

@@ -116,7 +116,11 @@ def test_criterion_04_sampler_validity_bulk():
     chunk = np.empty((1_000, 6, orderings.d_pref, enum.d_c))
     bad_monotone = bad_rows = 0
     for first in range(0, 10_000, len(chunk)):
-        _draw_rules(enum, orderings.d_pref, config, range(first, first + len(chunk)), chunk)
+        states = np.stack([
+            np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            for seed in range(first, first + len(chunk))
+        ])
+        _draw_rules(enum, orderings.d_pref, config, states, chunk)
         for seed, blocks in enumerate(chunk, first):
             rule = tc.AttentionRule(
                 u=blocks.reshape(6, -1), set_index=enum, d_pref=orderings.d_pref

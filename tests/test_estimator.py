@@ -244,6 +244,23 @@ class TestEstimate:
         np.testing.assert_array_equal(a.per_sim_distances, as_int.per_sim_distances)
         assert a.best_distance == b.best_distance
 
+    def test_fresh_entropy_seed_builds_one_root_per_pool(self, menu3, orderings3, monkeypatch):
+        """``SeedSequence(None)`` draws new entropy each time: every chunk must share one."""
+        pi = tc.ChoiceDataset(pi=np.random.default_rng(2).dirichlet(np.ones(3), size=3))
+        roots, real = [], est._seed_sequence
+
+        def recorded(seed):
+            roots.append(real(seed))
+            return roots[-1]
+
+        monkeypatch.setattr(est, "_seed_sequence", recorded)
+        monkeypatch.setattr(est, "CHUNK", 4)
+        config = tc.SamplerConfig(d_t=3, seed=None, outside_mode=False)
+        result = tc.estimate(pi, menu3, orderings3, 10, config)
+        assert len(roots) == 1
+        again = tc.estimate(pi, menu3, orderings3, 10, replace(config, seed=roots[0]))
+        np.testing.assert_array_equal(result.per_sim_distances, again.per_sim_distances)
+
     def test_numpy_integer_seed_is_echoed(self, menu3, orderings3):
         pi = tc.ChoiceDataset(pi=np.random.default_rng(2).dirichlet(np.ones(3), size=3))
         config = tc.SamplerConfig(d_t=3, seed=np.int64(3), outside_mode=False)

@@ -13,10 +13,13 @@ from timedchoice.sampler import (
     FALLBACK_MAX_TARGETS,
     GAMMA_FLOOR,
     MAX_DIRECTION_RETRIES,
+    _child_states,
     _draw_rules,
+    _hashed_seed,
+    _initial_states,
+    _max_step,
     _step_rows,
     _superset_matrix,
-    child_seeds,
 )
 
 
@@ -72,6 +75,26 @@ class TestStep:
         blocks = rule.blocks()
         assert blocks.min() >= 0.0 and blocks.max() <= 1.0
         np.testing.assert_allclose(blocks.sum(axis=2), 1.0, atol=1e-9)
+
+
+class TestMaxStep:
+    def test_hand_computed_rows(self):
+        rows = np.array([[0.5, 0.0, 0.6, 1.0], [0.3, 0.3, 0.3, 0.1]])
+        xi = np.array([[-0.25, -1e-13, 0.4, 0.0], [1e-13, -1e-13, 0.0, -0.0]])
+        # Row 0: 0.5 / 0.25 = 2 from below, 0.4 / 0.4 = 1 from above; the
+        # coordinate inside the floor bounds nothing.  Row 1 is unbounded.
+        np.testing.assert_array_equal(_max_step(rows, xi), [1.0, np.inf])
+
+    def test_matches_two_sided_reference(self):
+        rng = np.random.default_rng(12)
+        rows = rng.random((500, 15))
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        rows[rng.random(rows.shape) < 0.05] = 1.0
+        xi = rng.normal(size=rows.shape)
+        xi[rng.random(rows.shape) < 0.2] = 0.0
+        xi[rng.random(rows.shape) < 0.05] *= 1e-12
+        xi[:20] = 0.0
+        np.testing.assert_array_equal(_max_step(rows, xi), _reference_max_step(rows, xi))
 
 
 class TestSupersetMatrix:
@@ -182,6 +205,57 @@ class TestSampleAttentionRules:
         with pytest.raises(ValidationError):
             tc.sample_attention_rules(menu3, orderings3, config, -1)
 
+    def test_states_hashed_in_pieces_give_the_same_pool(self, menu3, orderings3, monkeypatch):
+        config = tc.SamplerConfig(d_t=3, seed=77, outside_mode=False)
+        whole = tc.sample_attention_rules(menu3, orderings3, config, 10)
+        monkeypatch.setattr(sampler, "_STATE_ROWS", 4)  # pieces [0, 4), [4, 8), [8, 10)
+        np.testing.assert_array_equal(
+            tc.sample_attention_rules(menu3, orderings3, config, 10), whole
+        )
+
+    def test_fresh_entropy_seed_builds_one_root_per_pool(self, menu3, orderings3, monkeypatch):
+        """``SeedSequence(None)`` draws new entropy each time: every piece must share one."""
+        roots, real = [], sampler._seed_sequence
+
+        def recorded(seed):
+            roots.append(real(seed))
+            return roots[-1]
+
+        monkeypatch.setattr(sampler, "_seed_sequence", recorded)
+        monkeypatch.setattr(sampler, "_STATE_ROWS", 4)
+        config = tc.SamplerConfig(d_t=3, seed=None, outside_mode=False)
+        pool = tc.sample_attention_rules(menu3, orderings3, config, 10)
+        assert len(roots) == 1
+        again = tc.sample_attention_rules(menu3, orderings3, replace(config, seed=roots[0]), 10)
+        np.testing.assert_array_equal(pool, again)
+
+
+def child_seeds(seed, count):
+    """Yield the first ``count`` child seeds of ``seed`` without spawning.
+
+    Child ``i`` equals ``root.spawn(count)[i]`` for ``root`` the seed's
+    :class:`~numpy.random.SeedSequence` as passed in, but ``root`` is left
+    untouched (``spawn`` would advance it): the oracle of the sampler's
+    bulk child states.
+    """
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    first = root.n_children_spawned
+    for i in range(count):
+        yield np.random.SeedSequence(
+            root.entropy,
+            spawn_key=root.spawn_key + (first + i,),
+            pool_size=root.pool_size,
+        )
+
+
+def _seed_states(seeds):
+    """``_draw_rules``'s ``(n, 4)`` states: one row per seed, as ``default_rng`` seeds PCG64."""
+    return np.stack([
+        (s if isinstance(s, np.random.SeedSequence) else np.random.SeedSequence(s))
+        .generate_state(4, np.uint64)
+        for s in seeds
+    ])
+
 
 def _digest(rules):
     """SHA-256 of a pool array, or of one rule's ``u``: the same bytes as a pool of one."""
@@ -203,17 +277,19 @@ def _chains(init, enum, d_pref, d_t, seeds):
     return np.stack(rows, axis=1)
 
 
+def _reference_max_step(rows, xi):
+    """Largest feasible step, with one array of bounds from below and one from above."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.where(xi < -GAMMA_FLOOR, rows / -xi, np.inf)
+        hi = np.where(xi > GAMMA_FLOOR, (1.0 - rows) / xi, np.inf)
+    return np.minimum(lo.min(axis=1), hi.min(axis=1))
+
+
 def _reference_rule(menu, orderings, config):
     """One rule drawn alone, with the dense fallback: the lockstep draw's oracle."""
     enum = tc.enumerate_sets(menu, outside_mode=config.outside_mode)
     rng = np.random.default_rng(config.seed)
     d_pref, d_c = orderings.d_pref, enum.d_c
-
-    def bound(rows, xi):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lo = np.where(xi < -GAMMA_FLOOR, rows / -xi, np.inf)
-            hi = np.where(xi > GAMMA_FLOOR, (1.0 - rows) / xi, np.inf)
-        return np.minimum(lo.min(axis=1), hi.min(axis=1))
 
     def fallback(sub):
         sup = _superset_matrix((enum.n_bits, (1 << enum.n_bits) == d_c))
@@ -228,7 +304,7 @@ def _reference_rule(menu, orderings, config):
         outflow = rng.uniform(0.2, 1.0, size=(len(sub), d_c)) * live
         w *= outflow[:, :, None]
         direction = w.sum(axis=1) - outflow
-        gmax = bound(sub, direction)
+        gmax = _reference_max_step(sub, direction)
         bad = ~np.isfinite(gmax) | ~live.any(axis=1)
         gmax[bad] = 0.0
         direction[bad] = 0.0
@@ -248,7 +324,7 @@ def _reference_rule(menu, orderings, config):
             psi = -np.abs(rng.normal(size=(pending.size, d_c)))
             psi[:, enum.full_index] = 0.0
             cand = tc.moebius_inverse(psi, enum)
-            g = bound(states[pending], cand)
+            g = _reference_max_step(states[pending], cand)
             g[~np.isfinite(g)] = 0.0
             ok = g > GAMMA_FLOOR
             xi[pending[ok]], gmax[pending[ok]] = cand[ok], g[ok]
@@ -302,7 +378,7 @@ class TestLockstepPool:
         )
         enum = tc.enumerate_sets(menu6, outside_mode=True)
         alone = np.empty((1, 6, orderings6.d_pref, enum.d_c))
-        _draw_rules(enum, orderings6.d_pref, config, [config.seed], alone)
+        _draw_rules(enum, orderings6.d_pref, config, _seed_states([config.seed]), alone)
         np.testing.assert_array_equal(rule.blocks(), alone[0])
 
     @pytest.mark.parametrize(
@@ -330,10 +406,10 @@ class TestLockstepPool:
         config = tc.SamplerConfig(d_t=6, seed=0, outside_mode=True)
         # The chunk's own rows are the caller's buffer, allocated outside the trace.
         out = np.empty((CHUNK, 6, orderings6.d_pref, enum.d_c))
-        seeds = list(child_seeds(0, CHUNK))
+        states = _seed_states(child_seeds(0, CHUNK))
         tracemalloc.start()
         try:
-            _draw_rules(enum, orderings6.d_pref, config, seeds, out)
+            _draw_rules(enum, orderings6.d_pref, config, states, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -381,3 +457,126 @@ class TestLockstepPool:
         assert _digest(rule.u) == (
             "3f28da9d690895b6d19d0263fae54102e653c7fa7ec6f02b76d1ac17987a47a0"
         )
+
+
+def _pcg64_states(states):
+    """The state of the PCG64 the sampler seeds from each row of ``states``."""
+    return [np.random.PCG64(_hashed_seed()(words)).state for words in states]
+
+
+@pytest.mark.filterwarnings("error")
+class TestChildStates:
+    """The bulk hash seeds every child exactly as numpy's own SeedSequence does."""
+
+    @staticmethod
+    def _check(root, count):
+        states = _child_states(root, root.n_children_spawned, count)
+        assert states.shape == (count, 4) and states.dtype == np.uint64
+        expected = [np.random.PCG64(child).state for child in child_seeds(root, count)]
+        assert _pcg64_states(states) == expected
+
+    def test_random_int_entropies(self):
+        rng = np.random.default_rng(8)
+        bits = [0, 1, 31, 32, 33, 63, 64, 65, 96, 127, 128, 129, 160, 200]
+        entropies = [0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**128 + 1]
+        entropies += [int(rng.integers(0, 2**62)) >> (62 - b) if b < 62
+                      else int(rng.integers(0, 2**62)) << (b - 62) for b in bits]
+        for entropy in entropies:
+            self._check(np.random.SeedSequence(entropy), 6)
+
+    @pytest.mark.parametrize(
+        "entropy",
+        [(1, 2, 3), (2**40, 5), (7, (8, 2**70)), range(9), np.arange(5, dtype=np.uint32),
+         ("0x1f", "17", 3)],
+    )
+    def test_sequence_entropies(self, entropy):
+        self._check(np.random.SeedSequence(entropy), 6)
+
+    def test_fresh_entropy_root(self):
+        self._check(np.random.SeedSequence(None), 6)
+
+    @pytest.mark.parametrize("spawn_key", [(0,), (3, 1), (2**32, 5), (4, 2**40 + 3, 0, 9)])
+    def test_nested_spawn_keys(self, spawn_key):
+        self._check(np.random.SeedSequence(123, spawn_key=spawn_key), 6)
+        self._check(np.random.SeedSequence(2**100 + 7, spawn_key=spawn_key), 6)
+
+    @pytest.mark.parametrize("pool_size", [5, 8])
+    def test_larger_pools(self, pool_size):
+        self._check(np.random.SeedSequence(99, pool_size=pool_size), 6)
+        self._check(np.random.SeedSequence(2**300 + 1, spawn_key=(4,), pool_size=pool_size), 6)
+
+    def test_children_already_spawned(self):
+        self._check(np.random.SeedSequence(31, n_children_spawned=17), 6)
+        root = np.random.SeedSequence(31)
+        root.spawn(3)
+        self._check(root, 6)
+
+    def test_oracle_children_are_spawned_children(self):
+        kwargs = dict(spawn_key=(2, 2**33), pool_size=6, n_children_spawned=5)
+        spawned = np.random.SeedSequence(77, **kwargs).spawn(4)
+        mine = child_seeds(np.random.SeedSequence(77, **kwargs), 4)
+        for a, b in zip(spawned, mine, strict=True):
+            assert np.array_equal(a.generate_state(8), b.generate_state(8))
+
+    def test_child_index_past_two_to_the_32(self):
+        """Children 2**32 - 2 ... 2**32 + 2: the index takes a second word at 2**32."""
+        root = np.random.SeedSequence(5, n_children_spawned=2**32 - 2)
+        self._check(root, 5)
+        states = _child_states(root, 2**32 + 1, 2)
+        assert _pcg64_states(states) == _pcg64_states(_child_states(root, 2**32 - 2, 5)[3:])
+
+    def test_pool_across_two_to_the_32(self, menu3, orderings3):
+        root = np.random.SeedSequence(6, spawn_key=(1,), n_children_spawned=2**32 - 2)
+        config = tc.SamplerConfig(d_t=3, seed=root, outside_mode=False)
+        pool = tc.sample_attention_rules(menu3, orderings3, config, 4)
+        for child, rule in zip(child_seeds(root, 4), pool, strict=True):
+            alone = _reference_rule(menu3, orderings3, replace(config, seed=child))
+            np.testing.assert_array_equal(rule, alone)
+
+    def test_draw_rules_rejects_rows_other_than_four_words(self, menu3, orderings3):
+        enum = tc.enumerate_sets(menu3)
+        config = tc.SamplerConfig(d_t=2, outside_mode=False)
+        out = np.empty((2, 2, orderings3.d_pref, enum.d_c))
+        with pytest.raises(ValidationError):
+            _draw_rules(enum, orderings3.d_pref, config, np.zeros((2, 3), np.uint64), out)
+
+    def test_empty_range(self):
+        root = np.random.SeedSequence(1)
+        assert _child_states(root, 0, 0).shape == (0, 4)
+        assert _child_states(root, 2**40, 0).shape == (0, 4)
+
+
+class TestDirichletStarts:
+    """Non-outside starts equal ``Generator.dirichlet(np.ones(d_c), size=d_pref)``."""
+
+    @staticmethod
+    def _enum(d_c):
+        items = tuple("abcde"[: (d_c + 1).bit_length() - 1])
+        return tc.enumerate_sets(tc.Menu(items=items), outside_mode=False)
+
+    @pytest.mark.parametrize("d_c", [3, 7, 15, 31])
+    def test_equal_numpy_dirichlet(self, d_c):
+        enum = self._enum(d_c)
+        assert enum.d_c == d_c
+        config = tc.SamplerConfig(d_t=1, outside_mode=False)
+        rngs = [np.random.default_rng(s) for s in range(40)]
+        starts = _initial_states(enum, config, 6, rngs)
+        for s, (rng, start) in enumerate(zip(rngs, starts)):
+            oracle = np.random.default_rng(s)
+            np.testing.assert_array_equal(start, oracle.dirichlet(np.ones(d_c), size=6))
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    def test_rows_are_summed_left_to_right(self):
+        """A pairwise row sum rounds differently on some seeds; dirichlet's order is kept."""
+        enum = self._enum(15)
+        config = tc.SamplerConfig(d_t=1, outside_mode=False)
+        seeds = range(40)
+        starts = _initial_states(enum, config, 6, [np.random.default_rng(s) for s in seeds])
+        pairwise_differs = 0
+        for s, start in zip(seeds, starts):
+            x = np.random.default_rng(s).standard_exponential((6, 15))
+            pairwise = x * (1.0 / x.sum(axis=1, keepdims=True))
+            oracle = np.random.default_rng(s).dirichlet(np.ones(15), size=6)
+            pairwise_differs += not np.array_equal(pairwise, oracle)
+            np.testing.assert_array_equal(start, oracle)
+        assert pairwise_differs > 0
