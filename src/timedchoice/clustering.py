@@ -6,14 +6,17 @@ by exact 1-D k-means.  The one-dimensional problem admits an exact
 dynamic program over sorted distinct values (Wang & Song, R Journal
 2011), so the clustering is deterministic and free of initialization
 artifacts.  For m distinct values and k clusters the program does
-O(k·m²) arithmetic in k·m vectorised passes and holds O(k·m) memory;
-ties between equal-cost partitions always go to the earliest cluster
+O(k·m²) arithmetic and holds O(k·m) tables.  It runs in blocks of
+cluster ends, each scored against all its starts in a few numpy passes
+over at most ``_BLOCK_CELLS`` cells, not in one pass per table cell.
+Ties between equal-cost partitions always go to the earliest cluster
 start, so a given input always yields the same partition.  Non-finite
 times are rejected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +24,11 @@ from numpy.typing import NDArray
 
 from .core import ChoiceDataset, Menu
 from .errors import ValidationError
+
+#: (end, start) cells that one block of :func:`kmeans_1d` scores at most, so
+#: its two work arrays take 128 KiB each (one row of m doubles where a
+#: single row is wider).
+_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -59,11 +67,15 @@ def kmeans_1d(values: NDArray, k: int) -> list[NDArray]:
 
     Optimal clusters of 1-D data are contiguous runs of the sorted values,
     so the globally optimal partition is found by dynamic programming over
-    distinct values (ties can never straddle a boundary).  Each of the
-    k·m table cells scores all its candidate cluster starts in one numpy
-    pass over prefix sums, so the work is O(k·m²) for m distinct values and
-    the tables take O(k·m) memory.  Among equal-cost candidates the earliest
-    start wins.  Returns the clusters as sorted arrays.
+    distinct values (ties can never straddle a boundary).  The table cells
+    go in blocks of consecutive ends: one broadcast over prefix sums gives
+    the cost of every (start, end) cluster of a block, and each layer adds
+    the previous layer's table to it and takes the row minima.  A block has
+    at most ``_BLOCK_CELLS`` cells, and a row wider than that is a block of
+    its own.  The work is O(k·m²) for m distinct values and the tables take
+    O(k·m) memory.  Every candidate is the double that a per-cell scan
+    computes, and among equal-cost candidates the earliest start wins.
+    Returns the clusters as slices of the sorted values.
 
     Raises:
         ValidationError: a non-finite value, values whose sum of squares
@@ -92,36 +104,59 @@ def kmeans_1d(values: NDArray, k: int) -> list[NDArray]:
         raise ValidationError("values too large: the sum of squares overflows")
 
     # dp[c, j]: least cost of c clusters over distinct values 0..j-1, the
-    # last cluster being i..j-1 with i = back[c, j].  Each cell scores all
-    # starts i in one pass; argmin keeps the first of tied minima.
+    # last cluster being i..j-1 with i = back[c, j].
     dp = np.full((k + 1, m + 1), np.inf)
     back = np.zeros((k + 1, m + 1), dtype=int)
     # One cluster can only start at value 0 (dp[0, i] is inf for i >= 1), so
     # layer 1 is its cost from 0, all j at once, with back[1] = 0.
     sm = s1[1:] - s1[0]
     dp[1, 1:] = (s2[1:] - s2[0]) - sm * sm / (s0[1:] - s0[0])
-    for c in range(2, k + 1):
-        for j in range(c, m + 1):
-            sm = s1[j] - s1[c - 1 : j]
-            cand = (
-                (s2[j] - s2[c - 1 : j]) - sm * sm / (s0[j] - s0[c - 1 : j])
-                + dp[c - 1, c - 1 : j]
-            )
-            arg = int(np.argmin(cand))
-            dp[c, j] = cand[arg]
-            back[c, j] = c - 1 + arg
-    # Backtrack boundaries in distinct-value space.
+    # Layers c >= 2 go in blocks of ends j0..j1-1 against starts 0..j1-2.  A
+    # block's cluster costs are computed once and serve every layer in turn,
+    # so layer c reads dp[c - 1] of the block's own rows after layer c - 1
+    # has filled them.  Starts below c - 1 cost inf through dp[c - 1], and
+    # starts i >= j, the upper triangle of the block's last r - 1 columns,
+    # are set to inf; argmin keeps the first of tied minima.
+    side = math.isqrt(_BLOCK_CELLS)
+    upper = np.triu(np.ones((side, side), dtype=bool))
+    rows = np.arange(side)
+    size = max(_BLOCK_CELLS, m)
+    cost_buf, a_buf = np.empty(size), np.empty(size)
+    j0 = 2
+    while k >= 2 and j0 <= m:
+        # The most rows r with r * (j0 - 1 + r) <= _BLOCK_CELLS, so r <= side;
+        # a row wider than the budget is a block of its own.
+        r = max(1, min((math.isqrt((j0 - 1) ** 2 + 4 * _BLOCK_CELLS) - (j0 - 1)) // 2,
+                       m + 1 - j0))
+        j1 = j0 + r
+        width = j1 - 1
+        cost, a = (buf[: r * width].reshape(r, width) for buf in (cost_buf, a_buf))
+        ends = slice(j0, j1)
+        masked = upper[:r, : r - 1]
+        np.subtract(s1[ends, None], s1[None, :width], out=a)
+        np.subtract(s0[ends, None], s0[None, :width], out=cost)
+        np.copyto(cost[:, j0:], 1.0, where=masked)  # no 0/0 in the masked cells
+        np.multiply(a, a, out=a)
+        np.divide(a, cost, out=a)
+        np.subtract(s2[ends, None], s2[None, :width], out=cost)
+        np.subtract(cost, a, out=cost)
+        np.copyto(cost[:, j0:], np.inf, where=masked)
+        for c in range(2, k + 1):
+            np.add(cost, dp[c - 1, None, :width], out=a)
+            arg = a.argmin(axis=1)
+            dp[c, ends] = a[rows[:r], arg]
+            back[c, ends] = arg
+        j0 = j1
+    # Backtrack boundaries in distinct-value space, then cut the sorted values
+    # at the matching cumulative counts.
     cuts = [m]
     j = m
     for c in range(k, 0, -1):
         j = back[c, j]
         cuts.append(j)
     cuts.reverse()
-    clusters = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        lo, hi = distinct[a], distinct[b - 1]
-        clusters.append(values[(values >= lo) & (values <= hi)])
-    return clusters
+    starts = np.concatenate([[0], np.cumsum(weights)])
+    return [values[starts[a] : starts[b]] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def cluster_times(
@@ -144,8 +179,8 @@ def cluster_times(
 
     Raises:
         ValidationError: no zero-time observations (unless
-            ``allow_empty_first``), unknown choice labels, or fewer
-            distinct positive times than clusters.
+            ``allow_empty_first``), unknown choice labels, or fewer than
+            ``k - 1`` distinct positive stopping times.
     """
     obs = list(observations)
     if not obs:
@@ -168,6 +203,14 @@ def cluster_times(
         bounds = ((0.0, 0.0),)
         centroids: tuple[float, ...] = ()
     else:
+        # Counted from sorted differences: np.unique without counts imports
+        # numpy.ma, which adds about 1.5 MB to the process.
+        n_distinct = 1 + np.count_nonzero(np.diff(np.sort(positive)))
+        if n_distinct < k - 1:
+            raise ValidationError(
+                f"{k} periods need at least {k - 1} distinct positive stopping "
+                f"times, found {n_distinct}"
+            )
         clusters = kmeans_1d(positive, k - 1)
         edges = tuple((float(cl.min()), float(cl.max())) for cl in clusters)
         centroids = tuple(float(cl.mean()) for cl in clusters)

@@ -112,14 +112,14 @@ def read_observations_csv(path):
     if not set(names) <= set(header):
         raise ValidationError(f"{path}: expected columns {','.join(names)}")
     rid, time, choice = (header.index(c) for c in names)
-    return [
-        RawObservation(
-            respondent_id=r[rid],
-            stopping_time=_number(path, line, r[time]),
-            choice=r[choice],
-        )
-        for line, r in rows
-    ]
+    observations = []
+    for line, r in rows:
+        stopping_time = _number(path, line, r[time])
+        try:
+            observations.append(RawObservation(r[rid], stopping_time, r[choice]))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}, line {line}: {exc}, got {r[time]!r}") from None
+    return observations
 
 
 # ---------------------------------------------------------------------------

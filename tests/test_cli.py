@@ -248,6 +248,10 @@ class TestExitCodes:
             ("pi.csv", "period,a,b,c\n1,0.5,0.5\n2,0.5,0.5\n"),
             ("counts.csv", "period,count\n1,50\n2\n"),
             ("raw.csv", "respondent_id,stopping_time,choice\nr1,0,a\nr2,soon,b\n"),
+            ("raw.csv", "respondent_id,stopping_time,choice\nr1,0,a\nr2,nan,b\n"),
+            ("raw.csv", "respondent_id,stopping_time,choice\nr1,0,a\nr2,inf,b\n"),
+            ("raw.csv", "respondent_id,stopping_time,choice\nr1,0,a\nr2,1e400,b\n"),
+            ("raw.csv", "respondent_id,stopping_time,choice\nr1,0,a\nr2,-1,b\n"),
         ],
     )
     def test_malformed_csv_is_exit_one(self, tmp_path, capsys, name, text):
@@ -265,6 +269,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}, line ")
         assert "Traceback" not in err
+
+    def test_too_few_distinct_times_for_the_periods_is_exit_one(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(
+            "respondent_id,stopping_time,choice\nr1,0,a\nr2,1.5,b\nr3,2,a\nr4,2,b\nr5,3,a\n"
+        )
+        assert run(["cluster", "--input", raw, "--periods", 9, "--out", tmp_path / "o.csv"]) == 1
+        assert capsys.readouterr().err == (
+            "error: 9 periods need at least 8 distinct positive stopping times, found 3\n"
+        )
 
     def test_unknown_outside_label_is_exit_one(self, tmp_path, capsys):
         pi = tmp_path / "pi.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import timedchoice as tc
+from timedchoice import clustering
 from timedchoice.errors import ValidationError
 
 # A division by zero or an overflow inside the clustering path fails loudly.
@@ -41,9 +42,9 @@ def brute_force_kmeans_cost(values, k):
 def _reference_kmeans_1d(values, k):
     """Exact 1-D k-means as a triple loop over (layer, end, start).
 
-    The oracle for :func:`kmeans_1d`, which scores all starts of a cell in
-    one numpy pass; candidates are the same doubles, and the strict ``<``
-    keeps the first of tied minima.
+    The oracle for :func:`kmeans_1d`, which scores blocks of cells in one
+    numpy pass; candidates are the same doubles, and the strict ``<`` keeps
+    the first of tied minima.
     """
     values = np.sort(np.asarray(values, dtype=np.float64))
     distinct, weights = np.unique(values, return_counts=True)
@@ -71,6 +72,48 @@ def _reference_kmeans_1d(values, k):
                     best, arg = cand, i
             dp[c, j] = best
             back[c, j] = arg
+    cuts = [m]
+    j = m
+    for c in range(k, 0, -1):
+        j = back[c, j]
+        cuts.append(j)
+    cuts.reverse()
+    clusters = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        lo, hi = distinct[a], distinct[b - 1]
+        clusters.append(values[(values >= lo) & (values <= hi)])
+    return clusters
+
+
+def _cell_kmeans_1d(values, k):
+    """Exact 1-D k-means with one numpy pass per table cell (layer, end).
+
+    A second oracle for :func:`kmeans_1d`, fast enough for thousands of
+    distinct values: each cell scores all its starts at once, with the
+    same doubles as the block passes, and argmin keeps the first of tied
+    minima.
+    """
+    values = np.sort(np.asarray(values, dtype=np.float64))
+    distinct, weights = np.unique(values, return_counts=True)
+    m = distinct.size
+    w = weights.astype(np.float64)
+    s0 = np.concatenate([[0.0], np.cumsum(w)])
+    s1 = np.concatenate([[0.0], np.cumsum(w * distinct)])
+    s2 = np.concatenate([[0.0], np.cumsum(w * distinct * distinct)])
+    dp = np.full((k + 1, m + 1), np.inf)
+    back = np.zeros((k + 1, m + 1), dtype=int)
+    sm = s1[1:] - s1[0]
+    dp[1, 1:] = (s2[1:] - s2[0]) - sm * sm / (s0[1:] - s0[0])
+    for c in range(2, k + 1):
+        for j in range(c, m + 1):
+            sm = s1[j] - s1[c - 1 : j]
+            cand = (
+                (s2[j] - s2[c - 1 : j]) - sm * sm / (s0[j] - s0[c - 1 : j])
+                + dp[c - 1, c - 1 : j]
+            )
+            arg = int(np.argmin(cand))
+            dp[c, j] = cand[arg]
+            back[c, j] = c - 1 + arg
     cuts = [m]
     j = m
     for c in range(k, 0, -1):
@@ -136,6 +179,11 @@ def _random_values(rng, n):
     return values
 
 
+def _millisecond_times(rng, n):
+    """Lognormal stopping times around five period means, rounded to 1 ms."""
+    return np.round(rng.lognormal(np.log(2.0 * 1.6 ** rng.integers(1, 6, n)), 0.3), 3)
+
+
 class TestKmeans1dMatchesLoop:
     """The vectorised DP gives the triple loop's partitions byte for byte."""
 
@@ -150,8 +198,7 @@ class TestKmeans1dMatchesLoop:
 
     def test_millisecond_stopping_times(self):
         """The shape of raw experiment data: lognormal times rounded to 1 ms."""
-        rng = np.random.default_rng(5)
-        times = np.round(rng.lognormal(np.log(2.0 * 1.6 ** rng.integers(1, 6, 300)), 0.3), 3)
+        times = _millisecond_times(np.random.default_rng(5), 300)
         _assert_same_clusters(tc.kmeans_1d(times, 5), _reference_kmeans_1d(times, 5))
 
     def test_equal_cost_partitions_take_the_earliest_start(self):
@@ -160,6 +207,67 @@ class TestKmeans1dMatchesLoop:
         got = tc.kmeans_1d(values, 2)
         _assert_same_clusters(got, _reference_kmeans_1d(values, 2))
         assert [list(c) for c in got] == [[0.0], [1.0, 2.0]]
+
+
+class TestKmeans1dBlocks:
+    """Block passes give the per-cell scan's partitions byte for byte.
+
+    At a 64-cell budget the blocks are ends 2-8, 9-12, 13-16, 17-19, ...,
+    and from end 65 on a row is wider than the budget and is a block of its
+    own, so small inputs reach every kind of block edge.
+    """
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(clustering, "_BLOCK_CELLS", 64)
+
+    def test_every_size_across_small_block_edges(self, small_blocks):
+        rng = np.random.default_rng(31)
+        for m in range(2, 91):
+            values = rng.permutation(np.round(np.cumsum(rng.uniform(0.1, 1.0, m)), 6))
+            for k in sorted({1, min(m, 2), min(m, 3), min(m, 5), m}):
+                _assert_same_clusters(tc.kmeans_1d(values, k), _cell_kmeans_1d(values, k))
+
+    def test_rounded_ties_with_small_blocks(self, small_blocks):
+        rng = np.random.default_rng(32)
+        for _ in range(60):
+            values = _random_values(rng, int(rng.integers(2, 300)))
+            m = np.unique(values).size
+            k = int(rng.integers(1, min(m, 7) + 1))
+            got = tc.kmeans_1d(values, k)
+            _assert_same_clusters(got, _cell_kmeans_1d(values, k))
+            _assert_same_clusters(got, _reference_kmeans_1d(values, k))
+
+    def test_equal_cost_partitions_across_a_block_edge(self, small_blocks):
+        # Evenly spaced values: many partitions tie, and the cuts fall inside
+        # later blocks than the first.
+        values = np.arange(40.0)
+        for k in (2, 3, 4, 5):
+            _assert_same_clusters(tc.kmeans_1d(values, k), _reference_kmeans_1d(values, k))
+
+    def test_sizes_around_the_first_block_edge(self):
+        # The first block at the real budget is ends 2..128 (127 rows of at
+        # most 128 starts), so m = 128 fills it and m = 129 opens the next.
+        assert 127 * 128 <= clustering._BLOCK_CELLS < 128 * 129
+        rng = np.random.default_rng(33)
+        for m in (126, 127, 128, 129, 130):
+            values = np.round(np.cumsum(rng.uniform(0.001, 0.01, m)), 3)
+            values = rng.permutation(np.repeat(values, rng.integers(1, 4, m)))
+            assert np.unique(values).size == m
+            for k in (2, 4, 6):
+                _assert_same_clusters(tc.kmeans_1d(values, k), _cell_kmeans_1d(values, k))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_millisecond_times_in_the_low_thousands(self, k):
+        values = _millisecond_times(np.random.default_rng(34), 3_000)
+        assert 2_000 <= np.unique(values).size <= 4_000
+        _assert_same_clusters(tc.kmeans_1d(values, k), _cell_kmeans_1d(values, k))
+
+    def test_rows_wider_than_the_real_budget(self):
+        # Ends past the budget's width are scored one row per pass.
+        values = np.arange(clustering._BLOCK_CELLS + 40) * 0.001
+        values[-30:] += 5.0
+        _assert_same_clusters(tc.kmeans_1d(values, 2), _cell_kmeans_1d(values, 2))
 
 
 class TestKmeans1dRejects:
@@ -265,6 +373,18 @@ class TestClusterTimes:
         b = tc.cluster_times(observations, menu2, 5)
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1].pi, b[1].pi)
+
+    def test_too_few_distinct_times_names_the_periods(self, menu2):
+        observations = obs([0.0, 1.5, 2.0, 2.0, 3.0], ["a", "b", "a", "b", "a"])
+        for k in (5, 9):
+            with pytest.raises(
+                ValidationError,
+                match=rf"^{k} periods need at least {k - 1} distinct positive stopping "
+                "times, found 3$",
+            ):
+                tc.cluster_times(observations, menu2, k)
+        result, _ = tc.cluster_times(observations, menu2, 4)
+        assert result.k == 4
 
     def test_unknown_choice_label(self, menu2):
         with pytest.raises(ValidationError):

@@ -14,16 +14,19 @@ bytes (a ``str`` as UTF-8, anything else as ``numpy.asarray(v).tobytes()``).
 
 Runs:
 
-* ``montecarlo_seed0_60``, ``montecarlo_heldout_20``, ``experiment_seed0_1``
-  and ``raw_pipeline_seed0_20``: the first tasks of the benchmark workloads
-  in ``bench/workloads.py`` (imported, not changed), hashed through each
-  workload's ``fingerprint``.
+* ``montecarlo_seed0_60``, ``montecarlo_heldout_20``, ``experiment_seed0_1``,
+  ``raw_pipeline_seed0_20`` and ``raw_pipeline_heldout_20``: the first tasks
+  of the benchmark workloads in ``bench/workloads.py`` (imported, not
+  changed), hashed through each workload's ``fingerprint``.
 * ``api_K3000``: ``estimate`` at K = 3,000 on the bundled experiment, and
   ``fit_test_rule`` + ``bootstrap_test`` at ``TestConfig`` seed 1 in simplex
   (L = 299) and orthant (L = 99) mode, all in outside mode.
 * ``estimate_K3000_no_outside``: ``estimate`` at K = 3,000 on the bundled
   experiment with every nonempty set enumerated, so every rule starts from
   a uniform draw on the simplex.
+* ``kmeans_sizes``: ``kmeans_1d`` at k = 2, ..., 6 on lognormal stopping
+  times rounded to 1 ms, with 60, 586, 2,774 and 12,746 distinct values
+  (``KMEANS_SIZES`` draws); each cluster is hashed in order.
 """
 
 from __future__ import annotations
@@ -97,6 +100,22 @@ def no_outside_digest(tc) -> str:
     }])
 
 
+#: Draws per ``kmeans_sizes`` input, and the distinct times they give.
+KMEANS_SIZES = {60: 60, 600: 586, 3_000: 2_774, 20_000: 12_746}
+
+
+def kmeans_digest(tc) -> str:
+    fps = []
+    for n, distinct in KMEANS_SIZES.items():
+        rng = np.random.default_rng(34)
+        times = np.round(rng.lognormal(np.log(2.0 * 1.6 ** rng.integers(1, 6, n)), 0.3), 3)
+        if np.unique(times).size != distinct:
+            raise RuntimeError(f"{n} draws gave {np.unique(times).size} distinct times")
+        for k in range(2, 7):
+            fps.append({str(i): c for i, c in enumerate(tc.kmeans_1d(times, k))})
+    return digest(fps)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
@@ -118,8 +137,12 @@ def main(argv=None) -> int:
         "raw_pipeline_seed0_20": partial(
             workload_digest, workloads, "raw_pipeline", workloads.DEFAULT_SEED, 20
         ),
+        "raw_pipeline_heldout_20": partial(
+            workload_digest, workloads, "raw_pipeline", workloads.HELD_OUT_SEED, 20
+        ),
         "api_K3000": partial(api_digest, tc),
         "estimate_K3000_no_outside": partial(no_outside_digest, tc),
+        "kmeans_sizes": partial(kmeans_digest, tc),
     }
     out = {"src": str(args.src.resolve())}
     for name, run in runs.items():
