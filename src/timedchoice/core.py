@@ -36,6 +36,16 @@ def _check_tol(tol: float) -> None:
         raise ValidationError(f"tol must be finite and nonnegative, got {tol!r}")
 
 
+def _check_count(count, what: str) -> int:
+    """``count`` as an ``int``, if it is a Python or numpy integer; a bool is not a count.
+
+    Converting matters: index arithmetic on an unsigned numpy integer wraps.
+    """
+    if isinstance(count, (bool, np.bool_)) or not isinstance(count, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {count!r}")
+    return int(count)
+
+
 def _as_readonly(a: NDArray, dtype=np.float64) -> NDArray:
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
@@ -185,52 +195,47 @@ def enumerate_sets(menu: Menu, outside_mode: bool = False) -> SetEnumeration:
     return SetEnumeration(menu, False, tuple(range(1, 1 << n)))
 
 
-@lru_cache(maxsize=128)
-def _lattice_index_pairs(n_bits: int) -> tuple[tuple[NDArray, NDArray], ...]:
-    """Per-bit (with, without) index pairs driving in-place lattice sweeps."""
-    full = 1 << n_bits
-    pairs = []
-    idx = np.arange(full)
-    for b in range(n_bits):
-        hi = idx[(idx >> b & 1) == 1]
-        pairs.append((hi, hi ^ (1 << b)))
-    return tuple(pairs)
+def _lattice_sweep(values: NDArray, enum: SetEnumeration, op) -> NDArray:
+    """Apply ``op(with_bit, without_bit)`` into the sets with bit ``b``, for each bit in turn.
 
-
-def _embed(values: NDArray, enum: SetEnumeration) -> tuple[NDArray, slice]:
-    """Place enumerated values on the full lattice (empty-set slot zeroed)."""
+    Each row's values are placed on the full lattice (the empty set, absent
+    without the outside option, is zero).  The lattice is held sets-first,
+    ``(2**n, rows)``: viewed as ``(2**(n - b - 1), 2, 2**b * rows)``, the sets
+    with bit ``b`` are the ``[:, 1]`` half and their partners without it the
+    ``[:, 0]`` half, so every sweep runs over long contiguous runs of a
+    stack.  Each element gets the same operations in the same order as in a
+    rows-first sweep.  The result has the rows-first layout, ``(..., d_c)``.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] != enum.d_c:
         raise ValidationError(
             f"expected {enum.d_c} per-set values, got {values.shape[-1]}"
         )
     full = 1 << enum.n_bits
-    if full == enum.d_c:
-        # Outside mode: index i already is the reduced mask.
-        return values.copy(), slice(0, full)
-    out = np.zeros(values.shape[:-1] + (full,), dtype=np.float64)
-    out[..., 1:] = values
-    return out, slice(1, full)
+    rows = values.reshape(-1, enum.d_c)
+    n = rows.shape[0]
+    lattice = np.zeros((full, n))
+    lattice[full - enum.d_c :] = rows.T
+    for b in range(enum.n_bits):
+        half = lattice.reshape(full >> (b + 1), 2, n << b)
+        op(half[:, 1], half[:, 0], out=half[:, 1])
+    grid = np.empty(values.shape[:-1] + (full,))
+    grid.reshape(-1, full)[...] = lattice.T
+    return grid[..., full - enum.d_c :]
 
 
 def zeta_transform(values: NDArray, enum: SetEnumeration) -> NDArray:
     """Subset sums on the enumeration lattice: ``out[A] = sum_{B <= A} values[B]``.
 
     Applied to an attention row this yields accumulated attention.  Works on
-    stacks of rows (transform along the last axis).
+    stacks of rows (transform along the last axis); see :func:`_lattice_sweep`.
     """
-    grid, window = _embed(values, enum)
-    for hi, lo in _lattice_index_pairs(enum.n_bits):
-        grid[..., hi] += grid[..., lo]
-    return grid[..., window]
+    return _lattice_sweep(values, enum, np.add)
 
 
 def moebius_inverse(values: NDArray, enum: SetEnumeration) -> NDArray:
-    """Inverse of :func:`zeta_transform` on the same lattice."""
-    grid, window = _embed(values, enum)
-    for hi, lo in _lattice_index_pairs(enum.n_bits):
-        grid[..., hi] -= grid[..., lo]
-    return grid[..., window]
+    """Inverse of :func:`zeta_transform` on the same lattice: the same sweeps, subtracting."""
+    return _lattice_sweep(values, enum, np.subtract)
 
 
 @dataclass(frozen=True)

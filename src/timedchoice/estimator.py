@@ -25,6 +25,7 @@ from .core import (
     Menu,
     OrderingSet,
     PreferenceDistribution,
+    _check_count,
     enumerate_sets,
 )
 from .errors import SolverError, ValidationError
@@ -130,9 +131,10 @@ def _score_pool(
     Ties go to the earliest draw.
 
     Raises:
-        ValidationError: ``k`` is below one.
+        ValidationError: ``k`` is not an integer or is below one.
         SolverError: no draw converged.
     """
+    k = _check_count(k, "the number of simulations")
     if k < 1:
         raise ValidationError("need at least one simulation")
     enum, d_pref, d_t = transform.sets, transform.d_pref, sampler_config.d_t

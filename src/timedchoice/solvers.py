@@ -15,7 +15,7 @@ ratio test) before a coordinate leaves the face, so the path cannot cycle
 between faces.  The problems advance in lockstep and each round solves all
 KKT systems of one support size with one stacked solve.  A problem that
 the round cap leaves above the tolerance returns its KKT residual, and
-every caller acts on that.
+every caller acts on that.  Non-finite or column-less input is rejected.
 
 Where the minimizer is unique, its support is the face the method ends
 on, and the final solve on that face gives the solution bit for bit
@@ -97,10 +97,14 @@ def _polish_batch(G, h, *, sum_constraint):
     lockstep: each round solves all KKT systems of one support size with
     one stacked ``np.linalg.solve``, which runs the same LAPACK routine on
     the same matrix as a solve of one problem, so the answers do not
-    depend on how the batch is grouped.
+    depend on how the batch is grouped.  On small problems a round's fixed
+    numpy calls cost more than its arithmetic, so none sorts: finished
+    problems leave through a mask and the support sizes come from a
+    ``bincount``.
     """
     k, d = h.shape
     active = np.arange(k)
+    live = np.ones(k, dtype=bool)
     if sum_constraint:
         start = np.argmin(np.diagonal(G, axis1=1, axis2=2) - 2.0 * h, axis=1)
     else:
@@ -113,8 +117,7 @@ def _polish_batch(G, h, *, sum_constraint):
         if active.size == 0:
             break
         sizes = np.count_nonzero(support[active], axis=1)
-        done = []
-        for s in np.unique(sizes).tolist():
+        for s in np.flatnonzero(np.bincount(sizes)).tolist():
             ids = active[sizes == s]
             n = ids.size
             idx = np.nonzero(support[ids])[1].reshape(n, s)
@@ -138,37 +141,39 @@ def _polish_batch(G, h, *, sum_constraint):
                         sol, *_ = np.linalg.lstsq(kkt[j], rhs[j, :, 0], rcond=None)
                     r_s[j] = sol[:s]
             neg = (r_s < -1e-12).any(axis=1)
-            # Step toward the solution up to the first blocking coordinate,
-            # drop it and any other that reaches zero, and retry; a problem
-            # whose support runs empty stops.
-            blocked, at, x = ids[neg], idx[neg], r_s[neg]
-            c, down = cur[blocked[:, None], at], x < 0
-            ratio = np.where(down, c / np.where(down, c - x, 1.0), np.inf)
-            first = ratio.argmin(axis=1)
-            step = c + ratio.min(axis=1, keepdims=True) * (x - c)
-            zero = down & (step <= 0)
-            zero[np.arange(blocked.size), first] = True
-            cur[blocked[:, None], at] = np.where(zero, 0.0, step)
-            support[blocked[:, None], at] = ~zero
-            done.append(blocked[~support[blocked].any(axis=1)])
-            ok = ~neg
-            ids, idx = ids[ok], idx[ok]
+            if neg.any():
+                # Step toward the solution up to the first blocking
+                # coordinate, drop it and any other that reaches zero, and
+                # retry; a problem whose support runs empty stops.
+                blocked, at, x = ids[neg], idx[neg], r_s[neg]
+                c, down = cur[blocked[:, None], at], x < 0
+                ratio = np.where(down, c / np.where(down, c - x, 1.0), np.inf)
+                first = ratio.argmin(axis=1)
+                step = c + ratio.min(axis=1, keepdims=True) * (x - c)
+                zero = down & (step <= 0)
+                zero[np.arange(blocked.size), first] = True
+                cur[blocked[:, None], at] = np.where(zero, 0.0, step)
+                support[blocked[:, None], at] = ~zero
+                live[blocked[~support[blocked].any(axis=1)]] = False
+                ok = ~neg
+                ids, idx, r_s = ids[ok], idx[ok], r_s[ok]
+            rows = np.arange(ids.size)[:, None]
             cand = np.zeros((ids.size, d))
-            np.put_along_axis(cand, idx, np.maximum(r_s[ok], 0.0), axis=1)
+            cand[rows, idx] = np.maximum(r_s, 0.0)
             cur[ids] = cand
             g = 2.0 * (np.matmul(G[ids], cand[:, :, None])[:, :, 0] - h[ids])
             if sum_constraint:
-                nu = np.take_along_axis(g, idx, axis=1).max(axis=1, keepdims=True)
+                nu = g[rows, idx].max(axis=1, keepdims=True)
                 limit = nu - 1e-14 * (1 + np.abs(nu))
             else:
                 limit = -1e-14 * (1 + np.abs(g).max(axis=1, keepdims=True))
             entering = ~support[ids] & (g < limit)
             more = entering.any(axis=1)
-            done.append(ids[~more])
+            live[ids[~more]] = False
             ids = ids[more]
             enter = np.where(entering[more], g[more], np.inf).argmin(axis=1)
             support[ids, enter] = True
-        active = np.setdiff1d(active, np.concatenate(done), assume_unique=True)
+        active = active[live[active]]
     return cur
 
 
@@ -195,14 +200,25 @@ def constrained_lstsq_batch(
     Returns:
         (p, objective, kkt_res): arrays of shape (k, d), (k,), (k,).  A
         problem whose ``kkt_res`` is above ``kkt_tol`` did not converge.
+
+    Raises:
+        ValidationError: ``M`` has no columns; ``M``, ``b``, ``weights`` or
+            ``lower`` is not finite; a weight is negative; or the lower
+            bounds cannot sum to one.
     """
     M = np.asarray(M, dtype=np.float64)
     k, m, d = M.shape
+    if d == 0:
+        raise ValidationError("M needs at least one column")
     b = np.broadcast_to(np.asarray(b, dtype=np.float64), (k, m))
     # Unit weights give the same bits as no weights: x * 1.0 == x.
     w = np.broadcast_to(np.asarray(1.0 if weights is None else weights, dtype=np.float64), (k, m))
-    if np.any(w < 0):
-        raise ValidationError("weights must be nonnegative")
+    if not (np.isfinite(M).all() and np.isfinite(b).all()):
+        raise ValidationError("M and b must be finite")
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise ValidationError("weights must be finite and nonnegative")
+    if not np.isfinite(lower):
+        raise ValidationError(f"lower must be finite, got {lower!r}")
 
     if sum_constraint:
         span = 1.0 - d * lower

@@ -206,6 +206,18 @@ class TestTimeMonotonicity:
         assert any(t == 0 for _, t, _ in report.normalization_errors)
 
 
+def _index_sweep(values, enum, sign):
+    """The lattice sweep as fancy-indexed gathers and scatters, one pass per bit."""
+    full = 1 << enum.n_bits
+    grid = np.zeros(values.shape[:-1] + (full,))
+    grid[..., full - enum.d_c :] = values
+    idx = np.arange(full)
+    for b in range(enum.n_bits):
+        hi = idx[(idx >> b & 1) == 1]
+        grid[..., hi] += sign * grid[..., hi ^ (1 << b)]
+    return grid[..., full - enum.d_c :]
+
+
 class TestLatticeTransforms:
     def test_indicator_of_full_set(self, menu3):
         enum = tc.enumerate_sets(menu3)
@@ -257,6 +269,29 @@ class TestLatticeTransforms:
         enum = tc.enumerate_sets(menu3)
         with pytest.raises(ValidationError):
             tc.zeta_transform(np.ones(5), enum)
+
+    @pytest.mark.parametrize(
+        "n_bits, outside",
+        [(b, True) for b in range(1, 7)] + [(b, False) for b in range(2, 7)],
+    )
+    def test_reshaped_sweeps_equal_the_index_sweeps(self, n_bits, outside):
+        """Bytes equal to the per-bit gather/scatter sweep on rows, stacks, strided and empty input.
+
+        A menu has at least two items, so without the outside option the
+        lattice has at least two bits.
+        """
+        n = n_bits + 1 if outside else n_bits
+        menu = tc.Menu(items=tuple("abcdefg"[:n]), outside_index=n - 1 if outside else None)
+        enum = tc.enumerate_sets(menu, outside_mode=outside)
+        rng = np.random.default_rng(n_bits)
+        stack = rng.normal(size=(3, 5, 2 * enum.d_c))
+        empty = np.empty((0, enum.d_c))
+        for values in (stack[0, 0, : enum.d_c], stack[..., : enum.d_c], stack[..., ::2], empty):
+            for fn, sign in ((tc.zeta_transform, 1.0), (tc.moebius_inverse, -1.0)):
+                got = fn(values, enum)
+                want = _index_sweep(values, enum, sign)
+                assert got.shape == values.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestValidation:

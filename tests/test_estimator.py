@@ -278,6 +278,29 @@ class TestEstimate:
                 pi, menu3, orderings3, 0, tc.SamplerConfig(d_t=3, outside_mode=False)
             )
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, np.True_, "3", None])
+    def test_pool_size_must_be_an_integer(self, menu3, orderings3, k):
+        """``k = 2.5`` failed inside seeding; ``k = True`` ran a one-rule pool."""
+        pi = tc.ChoiceDataset(
+            pi=np.random.default_rng(0).dirichlet(np.ones(3), size=3), period_counts=(50,) * 3
+        )
+        config = tc.SamplerConfig(d_t=3, seed=0, outside_mode=False)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            tc.estimate(pi, menu3, orderings3, k, config)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            tc.fit_test_rule(pi, menu3, orderings3, k, config, tc.TestConfig())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [np.int64(4), np.uint8(4), np.int32(4)])
+    def test_numpy_integer_pool_size(self, menu3, orderings3, k):
+        """An unsigned ``k`` used as is wrapped in the chunk arithmetic (``0 - k``)."""
+        pi = tc.ChoiceDataset(pi=np.random.default_rng(0).dirichlet(np.ones(3), size=3))
+        config = tc.SamplerConfig(d_t=3, seed=0, outside_mode=False)
+        want = tc.estimate(pi, menu3, orderings3, 4, config)
+        got = tc.estimate(pi, menu3, orderings3, k, config)
+        assert got.n_sims == 4
+        np.testing.assert_array_equal(got.per_sim_distances, want.per_sim_distances)
+
     def test_period_mismatch_raises(self, menu3, orderings3):
         pi = tc.ChoiceDataset(pi=np.random.default_rng(0).dirichlet(np.ones(3), size=3))
         with pytest.raises(ValidationError):

@@ -96,6 +96,25 @@ class TestMaxStep:
         xi[:20] = 0.0
         np.testing.assert_array_equal(_max_step(rows, xi), _reference_max_step(rows, xi))
 
+    @pytest.mark.parametrize("d_c", [1, 3, 7, 32])
+    def test_column_fold_at_every_width(self, d_c):
+        """The column-by-column minimum equals the reference at the menus' widths."""
+        rng = np.random.default_rng(d_c)
+        rows = rng.random((400, d_c))
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[rng.random(rows.shape) < 0.05] = 1.0
+        xi = rng.normal(size=rows.shape)
+        xi[rng.random(rows.shape) < 0.2] = 0.0
+        xi[rng.random(rows.shape) < 0.1] *= 1e-12
+        # Every coordinate below the floor, in sign, in size, or both.
+        xi[:10] = 0.0
+        xi[10:20] = rng.uniform(-GAMMA_FLOOR, GAMMA_FLOOR, size=(10, d_c))
+        xi[20:30, ::2] = 0.0
+        xi[20:30, 1::2] = GAMMA_FLOOR
+        got = _max_step(rows, xi)
+        np.testing.assert_array_equal(got, _reference_max_step(rows, xi))
+        assert np.all(got[:30] == np.inf)
+
 
 class TestSupersetMatrix:
     @pytest.mark.parametrize("outside", [True, False])
@@ -204,6 +223,20 @@ class TestSampleAttentionRules:
         config = tc.SamplerConfig(d_t=3, seed=0, outside_mode=False)
         with pytest.raises(ValidationError):
             tc.sample_attention_rules(menu3, orderings3, config, -1)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, np.False_, "3"])
+    def test_count_must_be_an_integer(self, menu3, orderings3, count):
+        config = tc.SamplerConfig(d_t=3, seed=0, outside_mode=False)
+        with pytest.raises(ValidationError, match="count must be an integer"):
+            tc.sample_attention_rules(menu3, orderings3, config, count)
+
+    @pytest.mark.parametrize("count", [np.int64(5), np.uint8(5)])
+    def test_numpy_integer_count(self, menu3, orderings3, count):
+        config = tc.SamplerConfig(d_t=3, seed=0, outside_mode=False)
+        np.testing.assert_array_equal(
+            tc.sample_attention_rules(menu3, orderings3, config, count),
+            tc.sample_attention_rules(menu3, orderings3, config, 5),
+        )
 
     def test_states_hashed_in_pieces_give_the_same_pool(self, menu3, orderings3, monkeypatch):
         config = tc.SamplerConfig(d_t=3, seed=77, outside_mode=False)
@@ -414,6 +447,23 @@ class TestLockstepPool:
         finally:
             tracemalloc.stop()
         assert peak < 24e6, peak
+
+    @pytest.mark.parametrize(
+        "items, outside, d_t, count",
+        [(3, False, 3, 600), (3, True, 5, 300), (4, False, 4, 300), (6, True, 3, 140)],
+    )
+    def test_block_caps_give_the_same_pool(self, items, outside, d_t, count, monkeypatch):
+        """Blocks of 1, 64 or 256 rules draw the same bytes."""
+        labels = tuple("abcdef"[:items])
+        menu = tc.Menu(items=labels, outside_index=items - 1)
+        orderings = tc.all_orderings(items) if items <= 4 else tc.crra_ordering_set()[0]
+        config = tc.SamplerConfig(d_t=d_t, seed=21, outside_mode=outside)
+        pools = []
+        for cap in (1, 64, 256):
+            monkeypatch.setattr(sampler, "_BLOCK_RULES", cap)
+            pools.append(tc.sample_attention_rules(menu, orderings, config, count))
+        np.testing.assert_array_equal(pools[0], pools[1])
+        np.testing.assert_array_equal(pools[0], pools[2])
 
     @pytest.mark.parametrize("rows_per_piece", [1, 5])
     def test_fallback_pieces_keep_the_stream(self, menu6, orderings6, monkeypatch, rows_per_piece):

@@ -1,5 +1,9 @@
 import contextlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,6 +174,38 @@ class TestConstrainedLstsq:
     def test_weight_validation(self):
         with pytest.raises(ValidationError):
             solve_one(np.eye(2), np.zeros(2), weights=np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        """A NaN weight passed the sign check and returned ``p = [nan, 0]``."""
+        with pytest.raises(ValidationError, match="weights must be finite"):
+            solve_one(np.eye(2), np.zeros(2), weights=np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("sum_constraint", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lower_rejected(self, bad, sum_constraint):
+        """A NaN floor returned an all-NaN ``p``."""
+        with pytest.raises(ValidationError, match="lower must be finite"):
+            solve_one(np.eye(2), np.zeros(2), lower=bad, sum_constraint=sum_constraint)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_design_or_target_rejected(self, bad, capfd):
+        """An ``inf`` in ``M`` raised ``LinAlgError`` and LAPACK wrote to stderr."""
+        M = np.eye(3)[None].repeat(4, axis=0)
+        M[2, 1, 0] = bad
+        with pytest.raises(ValidationError, match="M and b must be finite"):
+            constrained_lstsq_batch(M, np.zeros(3))
+        b = np.zeros((4, 3))
+        b[3, 2] = bad
+        with pytest.raises(ValidationError, match="M and b must be finite"):
+            constrained_lstsq_batch(np.eye(3)[None].repeat(4, axis=0), b)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("sum_constraint", [True, False])
+    def test_design_without_columns_rejected(self, sum_constraint):
+        """``(k, m, 0)`` failed in ``argmin`` of an empty sequence."""
+        with pytest.raises(ValidationError, match="at least one column"):
+            constrained_lstsq_batch(np.zeros((2, 3, 0)), np.zeros(3), sum_constraint=sum_constraint)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -740,6 +776,7 @@ class TestActiveSetFrozenReference:
             constrained_lstsq_batch(M, b, **kwargs),
             _reference_constrained_lstsq_batch(M, b, **kwargs),
         )
+        _assert_polish_matches_lockstep(M, b, **kwargs)
 
     def test_bundled_pool_unweighted(self, bundled_pool):
         pi, ms = bundled_pool
@@ -774,6 +811,168 @@ class TestActiveSetFrozenReference:
         for M, b, kwargs in criterion_08_replication:
             self._check(M, b, **kwargs)
         assert reference_passes == [2]
+
+
+def _lockstep_polish_batch(G, h, *, sum_constraint):
+    """``_polish_batch`` with its earlier round bookkeeping: the same arithmetic.
+
+    Finished problems leave through ``np.setdiff1d``, the support sizes come
+    from ``np.unique``, every group runs the ratio-test block (on no rows
+    when none is blocked) and the iterate is written with
+    ``put_along_axis``.
+    """
+    k, d = h.shape
+    active = np.arange(k)
+    if sum_constraint:
+        start = np.argmin(np.diagonal(G, axis1=1, axis2=2) - 2.0 * h, axis=1)
+    else:
+        start = np.argmax(h, axis=1)
+    support = np.zeros((k, d), dtype=bool)
+    support[active, start] = True
+    # The vertex e_j, or the origin without the sum constraint.
+    cur = support * float(sum_constraint)
+    for _ in range(4 * d + 8):
+        if active.size == 0:
+            break
+        sizes = np.count_nonzero(support[active], axis=1)
+        done = []
+        for s in np.unique(sizes).tolist():
+            ids = active[sizes == s]
+            n = ids.size
+            idx = np.nonzero(support[ids])[1].reshape(n, s)
+            dim = s + 1 if sum_constraint else s
+            kkt = np.zeros((n, dim, dim))
+            kkt[:, :s, :s] = 2.0 * G[ids[:, None, None], idx[:, :, None], idx[:, None, :]]
+            rhs = np.empty((n, dim, 1))
+            rhs[:, :s, 0] = 2.0 * h[ids[:, None], idx]
+            if sum_constraint:
+                kkt[:, :s, s] = 1.0
+                kkt[:, s, :s] = 1.0
+                rhs[:, s, 0] = 1.0
+            try:
+                r_s = np.linalg.solve(kkt, rhs)[:, :s, 0]
+            except np.linalg.LinAlgError:
+                r_s = np.empty((n, s))
+                for j in range(n):
+                    try:
+                        sol = np.linalg.solve(kkt[j], rhs[j, :, 0])
+                    except np.linalg.LinAlgError:
+                        sol, *_ = np.linalg.lstsq(kkt[j], rhs[j, :, 0], rcond=None)
+                    r_s[j] = sol[:s]
+            neg = (r_s < -1e-12).any(axis=1)
+            # Step toward the solution up to the first blocking coordinate,
+            # drop it and any other that reaches zero, and retry; a problem
+            # whose support runs empty stops.
+            blocked, at, x = ids[neg], idx[neg], r_s[neg]
+            c, down = cur[blocked[:, None], at], x < 0
+            ratio = np.where(down, c / np.where(down, c - x, 1.0), np.inf)
+            first = ratio.argmin(axis=1)
+            step = c + ratio.min(axis=1, keepdims=True) * (x - c)
+            zero = down & (step <= 0)
+            zero[np.arange(blocked.size), first] = True
+            cur[blocked[:, None], at] = np.where(zero, 0.0, step)
+            support[blocked[:, None], at] = ~zero
+            done.append(blocked[~support[blocked].any(axis=1)])
+            ok = ~neg
+            ids, idx = ids[ok], idx[ok]
+            cand = np.zeros((ids.size, d))
+            np.put_along_axis(cand, idx, np.maximum(r_s[ok], 0.0), axis=1)
+            cur[ids] = cand
+            g = 2.0 * (np.matmul(G[ids], cand[:, :, None])[:, :, 0] - h[ids])
+            if sum_constraint:
+                nu = np.take_along_axis(g, idx, axis=1).max(axis=1, keepdims=True)
+                limit = nu - 1e-14 * (1 + np.abs(nu))
+            else:
+                limit = -1e-14 * (1 + np.abs(g).max(axis=1, keepdims=True))
+            entering = ~support[ids] & (g < limit)
+            more = entering.any(axis=1)
+            done.append(ids[~more])
+            ids = ids[more]
+            enter = np.where(entering[more], g[more], np.inf).argmin(axis=1)
+            support[ids, enter] = True
+        active = np.setdiff1d(active, np.concatenate(done), assume_unique=True)
+    return cur
+
+
+def _assert_polish_matches_lockstep(M, b, *, weights=None, lower=0.0, sum_constraint=True):
+    """``_polish_batch`` returns the bytes of the earlier lockstep loop on ``M``'s Gram form."""
+    M = np.asarray(M, dtype=np.float64)
+    k, m, _ = M.shape
+    b = np.broadcast_to(np.asarray(b, dtype=np.float64), (k, m))
+    w = np.broadcast_to(np.asarray(1.0 if weights is None else weights, dtype=np.float64), (k, m))
+    G, h = _gram_form(M, b, w, lower=lower, sum_constraint=sum_constraint)[:2]
+    _assert_bytes_equal(
+        [solvers._polish_batch(G, h, sum_constraint=sum_constraint)],
+        [_lockstep_polish_batch(G, h, sum_constraint=sum_constraint)],
+    )
+
+
+def _stress_batch(seed, k, m, d):
+    """Random problems with a zero column in every third and a duplicate in every third."""
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(k, m, d))
+    M[::3, :, d - 1] = 0.0
+    if d > 1:
+        M[1::3, :, 1] = M[1::3, :, 0]
+    return M, rng.normal(size=(k, m)), rng.uniform(0.2, 3.0, size=(k, m))
+
+
+class TestPolishBookkeeping:
+    """``_polish_batch`` returns the bytes of the earlier lockstep loop on every batch.
+
+    :class:`TestActiveSetFrozenReference` compares the two on the bundled
+    pool and criterion 08's solves.
+    """
+
+    _check = staticmethod(_assert_polish_matches_lockstep)
+
+    @pytest.mark.parametrize("sum_constraint", [True, False])
+    def test_one_problem_batches(self, bundled_pool, sum_constraint):
+        pi, ms = bundled_pool
+        for i in range(0, 1024, 97):
+            self._check(ms[i : i + 1], pi.vec(), sum_constraint=sum_constraint)
+        M, b, w = _stress_batch(3, 40, 5, 7)
+        for i in range(40):
+            self._check(M[i : i + 1], b[i], weights=w[i], sum_constraint=sum_constraint)
+
+    @pytest.mark.parametrize("sum_constraint", [True, False])
+    @pytest.mark.parametrize("m, d", [(9, 6), (4, 6), (12, 3), (3, 9), (6, 1)])
+    def test_random_stress_batches(self, m, d, sum_constraint):
+        for seed in range(4):
+            M, b, w = _stress_batch(seed, 300, m, d)
+            self._check(M, b, sum_constraint=sum_constraint)
+            self._check(M, b, weights=w, lower=0.25 / d, sum_constraint=sum_constraint)
+
+
+_MASKED_ARRAYS_PROBE = """
+import sys
+import numpy as np
+import timedchoice as tc
+loaded = ["numpy.ma" in sys.modules]
+menu = tc.Menu(items=("a", "b", "c"))
+orderings = tc.all_orderings(3)
+pi = tc.ChoiceDataset(pi=np.array([[0.5, 0.3, 0.2], [0.4, 0.3, 0.3]]), period_counts=(100, 100))
+sampler = tc.SamplerConfig(d_t=2, seed=0, outside_mode=False)
+tc.estimate(pi, menu, orderings, 20, sampler)
+loaded.append("numpy.ma" in sys.modules)
+config = tc.TestConfig(n_boot=19, seed=1)
+rule, transform = tc.fit_test_rule(pi, menu, orderings, 20, sampler, config)
+tc.bootstrap_test(pi, rule, transform, config)
+loaded.append("numpy.ma" in sys.modules)
+print(loaded)
+"""
+
+
+def test_solves_do_not_import_masked_arrays():
+    """``np.unique`` without counts imports ``numpy.ma`` (about 1.5 MB); no solve path may."""
+    env = dict(os.environ)
+    src = str(Path(tc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _MASKED_ARRAYS_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[False, False, False]"
 
 
 class TestRatioTestRegression:

@@ -27,6 +27,11 @@ Runs:
 * ``kmeans_sizes``: ``kmeans_1d`` at k = 2, ..., 6 on lognormal stopping
   times rounded to 1 ms, with 60, 586, 2,774 and 12,746 distinct values
   (``KMEANS_SIZES`` draws); each cluster is hashed in order.
+* ``solver_stress``: ``(p, obj, res)`` of ``constrained_lstsq_batch`` on
+  fixed-seed random batches of k = 1, 199 and 1,000 problems, in simplex and
+  orthant mode, unweighted with ``lower = 0`` and weighted with ``lower > 0``,
+  with a zero column in every third problem and a duplicate column in every
+  third, at the ``montecarlo`` shape (9 x 6) and a wide shape (4 x 8).
 """
 
 from __future__ import annotations
@@ -116,6 +121,32 @@ def kmeans_digest(tc) -> str:
     return digest(fps)
 
 
+#: ``(m, d)`` shapes and batch sizes of the ``solver_stress`` batches.
+STRESS_SHAPES = ((9, 6), (4, 8))
+STRESS_SIZES = (1, 199, 1_000)
+
+
+def solver_stress_digest() -> str:
+    from timedchoice.solvers import constrained_lstsq_batch
+
+    rng = np.random.default_rng(14)
+    fps = []
+    for (m, d), k in ((shape, k) for shape in STRESS_SHAPES for k in STRESS_SIZES):
+        M = rng.random((k, m, d))
+        M[::3, :, d - 1] = 0.0
+        M[1::3, :, 1] = M[1::3, :, 0]
+        b = (M @ rng.dirichlet(np.ones(d), size=k)[:, :, None])[:, :, 0]
+        b += rng.normal(scale=0.1, size=(k, m))
+        w = rng.uniform(0.5, 2.0, size=(k, m))
+        for sum_constraint in (True, False):
+            for weights, lower in ((None, 0.0), (w, 0.5 / (4 * d))):
+                p, obj, res = constrained_lstsq_batch(
+                    M, b, weights=weights, lower=lower, sum_constraint=sum_constraint
+                )
+                fps.append({"p": p, "obj": obj, "res": res})
+    return digest(fps)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
@@ -143,6 +174,7 @@ def main(argv=None) -> int:
         "api_K3000": partial(api_digest, tc),
         "estimate_K3000_no_outside": partial(no_outside_digest, tc),
         "kmeans_sizes": partial(kmeans_digest, tc),
+        "solver_stress": solver_stress_digest,
     }
     out = {"src": str(args.src.resolve())}
     for name, run in runs.items():
