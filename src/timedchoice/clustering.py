@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import ChoiceDataset, Menu
+from .core import ChoiceDataset, Menu, _check_count, _check_tol
 from .errors import ValidationError
 
 #: (end, start) cells that one block of :func:`kmeans_1d` scores at most, so
@@ -40,8 +40,7 @@ class RawObservation:
     choice: str
 
     def __post_init__(self):
-        if not np.isfinite(self.stopping_time) or self.stopping_time < 0:
-            raise ValidationError("stopping_time must be finite and nonnegative")
+        _check_tol(self.stopping_time, "stopping_time")
 
 
 @dataclass(frozen=True)
@@ -78,16 +77,15 @@ def kmeans_1d(values: NDArray, k: int) -> list[NDArray]:
     Returns the clusters as slices of the sorted values.
 
     Raises:
-        ValidationError: a non-finite value, values whose sum of squares
-            overflows, ``k < 1``, or fewer distinct values than clusters.
+        ValidationError: a non-integer ``k`` or ``k < 1``, a non-finite value,
+            an overflowing sum of squares, or fewer distinct values than clusters.
     """
+    k = _check_count(k, "k", 1)
     values = np.sort(np.asarray(values, dtype=np.float64))
     if not np.isfinite(values).all():
         raise ValidationError("values must be finite")
     distinct, weights = np.unique(values, return_counts=True)
     m = distinct.size
-    if k < 1:
-        raise ValidationError("k must be positive")
     if m < k:
         raise ValidationError(f"need at least {k} distinct values, have {m}")
 
@@ -178,15 +176,14 @@ def cluster_times(
     single zero-time period.
 
     Raises:
-        ValidationError: no zero-time observations (unless
-            ``allow_empty_first``), unknown choice labels, or fewer than
-            ``k - 1`` distinct positive stopping times.
+        ValidationError: a non-integer ``k`` or ``k < 2``, no zero-time
+            observations (unless ``allow_empty_first``), unknown choice labels,
+            or fewer than ``k - 1`` distinct positive stopping times.
     """
     obs = list(observations)
     if not obs:
         raise ValidationError("no observations")
-    if k < 2:
-        raise ValidationError("need at least two periods")
+    k = _check_count(k, "the number of periods", 2)
     items = np.array([menu.index_of(o.choice) for o in obs])
 
     times = np.array([o.stopping_time for o in obs])

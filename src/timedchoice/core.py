@@ -30,20 +30,45 @@ ROW_SUM_TOL = 1e-9
 MONOTONICITY_TOL = 1e-9
 
 
-def _check_tol(tol: float) -> None:
-    """Raise unless ``tol`` is finite and nonnegative; NaN fails the test too."""
-    if not 0.0 <= tol < np.inf:
-        raise ValidationError(f"tol must be finite and nonnegative, got {tol!r}")
+def _check_tol(value, what: str = "tol", *, positive: bool = False, error=ValidationError) -> None:
+    """Raise ``error`` unless ``value`` is finite and nonnegative (``positive``: above zero).
+
+    An array is checked entry by entry and reported by its offending extreme.
+    The comparisons are written so that NaN fails them too.
+    """
+    lo = hi = value
+    if isinstance(value, np.ndarray):
+        lo, hi = float(value.min(initial=np.inf)), float(value.max(initial=0.0))
+    low_ok = 0.0 < lo if positive else 0.0 <= lo
+    if not (low_ok and hi < np.inf):
+        sign = "positive" if positive else "nonnegative"
+        raise error(f"{what} must be finite and {sign}, got {hi if low_ok else lo!r}")
 
 
-def _check_count(count, what: str) -> int:
-    """``count`` as an ``int``, if it is a Python or numpy integer; a bool is not a count.
+def _check_count(count, what: str, least: int = 0, *, error=ValidationError) -> int:
+    """``count`` as an ``int``, if it is a Python or numpy integer of at least ``least``.
 
-    Converting matters: index arithmetic on an unsigned numpy integer wraps.
+    A bool is not a count.  Converting matters: index arithmetic on an
+    unsigned numpy integer wraps.
     """
     if isinstance(count, (bool, np.bool_)) or not isinstance(count, (int, np.integer)):
-        raise ValidationError(f"{what} must be an integer, got {count!r}")
+        raise error(f"{what} must be an integer, got {count!r}")
+    if int(count) < least:
+        raise error(f"{what} must be at least {least}, got {count}")
     return int(count)
+
+
+def _check_probabilities(table: NDArray, what: str, sums: bool = True) -> None:
+    """Raise unless every entry of ``table`` lies in [0, 1] and each last-axis slice sums to one.
+
+    Within 1e-12 and :data:`ROW_SUM_TOL`; ``sums=False`` checks the range only.  Both
+    tests are written so that NaN fails them, and a table without entries has none to test.
+    """
+    if table.size and not (table.min() >= -1e-12 and table.max() <= 1 + 1e-12):
+        raise ValidationError(f"{what} must lie in [0, 1]")
+    total = table.sum(axis=-1)
+    if sums and total.size and not np.abs(total - 1.0).max() <= ROW_SUM_TOL:
+        raise ValidationError(f"{what} must sum to one")
 
 
 def _as_readonly(a: NDArray, dtype=np.float64) -> NDArray:
@@ -340,18 +365,12 @@ class ChoiceDataset:
         pi = _as_readonly(self.pi)
         if pi.ndim != 2:
             raise ValidationError("pi must be a (periods, items) matrix")
-        if np.any(pi < -1e-12) or np.any(pi > 1 + 1e-12):
-            raise ValidationError("choice frequencies must lie in [0, 1]")
-        rows = pi.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > ROW_SUM_TOL):
-            raise ValidationError("each period row of pi must sum to one")
+        _check_probabilities(pi, "choice frequencies")
         object.__setattr__(self, "pi", pi)
         if self.period_counts is not None:
-            counts = tuple(int(c) for c in self.period_counts)
+            counts = tuple(_check_count(c, "period counts") for c in self.period_counts)
             if len(counts) != pi.shape[0]:
                 raise ValidationError("need one period count per row of pi")
-            if any(c < 0 for c in counts):
-                raise ValidationError("period counts must be nonnegative")
             object.__setattr__(self, "period_counts", counts)
         if self.period_labels is not None:
             labels = tuple(str(l) for l in self.period_labels)
@@ -398,22 +417,12 @@ class AttentionRule:
         u = _as_readonly(self.u)
         if u.ndim != 2:
             raise ValidationError("u must be a 2-D matrix")
-        d_c = self.set_index.d_c
-        if u.shape[1] != self.d_pref * d_c:
+        d_pref, d_c = _check_count(self.d_pref, "d_pref", 1), self.set_index.d_c
+        if u.shape[1] != d_pref * d_c:
             raise ValidationError(
-                f"u has {u.shape[1]} columns, expected d_pref*d_c = "
-                f"{self.d_pref * d_c}"
+                f"u has {u.shape[1]} columns, expected d_pref*d_c = {d_pref * d_c}"
             )
-        # Both tests are written so that a NaN entry fails them; an empty u
-        # has no entries to test.
-        if u.size:
-            if not (u.min() >= -1e-12 and u.max() <= 1 + 1e-12):
-                raise ValidationError("attention probabilities must lie in [0, 1]")
-            sums = u.reshape(u.shape[0], self.d_pref, d_c).sum(axis=2)
-            if not np.abs(sums - 1.0).max() <= ROW_SUM_TOL:
-                raise ValidationError(
-                    "each (period, preference) attention row must sum to one"
-                )
+        _check_probabilities(u.reshape(u.shape[0], d_pref, d_c), "attention probabilities")
         object.__setattr__(self, "u", u)
 
     @property
@@ -444,10 +453,7 @@ class PreferenceDistribution:
         p = _as_readonly(self.p)
         if p.ndim != 1:
             raise ValidationError("p must be a vector")
-        if np.any(p < -1e-12):
-            raise ValidationError("preference weights must be nonnegative")
-        if abs(p.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValidationError("preference weights must sum to one")
+        _check_probabilities(p, "preference weights")
         object.__setattr__(self, "p", p)
 
     @classmethod

@@ -27,7 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from .core import ChoiceDataset, Menu, OrderingSet, PreferenceOrdering
+from .core import ChoiceDataset, Menu, OrderingSet, PreferenceOrdering, _check_probabilities
 from .errors import ValidationError
 from .lotteries import Lottery
 
@@ -78,11 +78,19 @@ def _number(path, line: int, text: str, kind=float):
 
 
 def read_pi_csv(path) -> tuple[ChoiceDataset, Menu]:
-    """Read a choice-frequency table; the header defines the menu."""
+    """Read a choice-frequency table; the header defines the menu.
+
+    A malformed cell, or a row that is not a distribution, fails naming its line.
+    """
     header, rows = _read_table(path)
     if header[:1] != ["period"]:
         raise ValidationError(f"{path}: expected a header starting with 'period'")
     pi = np.array([[_number(path, line, v) for v in r[1:]] for line, r in rows])
+    for (line, _), row in zip(rows, pi):
+        try:
+            _check_probabilities(row, "choice frequencies")
+        except ValidationError as exc:
+            raise ValidationError(f"{path}, line {line}: {exc}") from None
     return (
         ChoiceDataset(pi=pi, period_labels=tuple(r[0] for _, r in rows)),
         Menu(items=tuple(header[1:])),
@@ -118,7 +126,9 @@ def read_observations_csv(path):
         try:
             observations.append(RawObservation(r[rid], stopping_time, r[choice]))
         except ValidationError as exc:
-            raise ValidationError(f"{path}, line {line}: {exc}, got {r[time]!r}") from None
+            # Name the cell as written: 1e400 reads as inf.
+            why = str(exc).rpartition(", got ")[0]
+            raise ValidationError(f"{path}, line {line}: {why}, got {r[time]!r}") from None
     return observations
 
 

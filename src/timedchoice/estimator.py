@@ -33,6 +33,7 @@ from .sampler import SamplerConfig, _child_states, _draw_rules, _seed_sequence
 from .solvers import KKT_TOL, constrained_lstsq_batch, single_solution
 from .transform import (
     ChoiceTransform,
+    _check_compatible,
     build_choice_transform,
     design_matrix,
     design_matrix_batch,
@@ -97,8 +98,7 @@ def solve_p(
             :data:`~timedchoice.solvers.KKT_TOL`; the error carries the ``p``
             array found and its residual.
     """
-    if pi.d_t != rule.d_t or pi.n != transform.menu.n:
-        raise ValidationError("dataset shape does not match rule/transform")
+    _check_compatible(rule, transform, pi)
     m = design_matrix(rule, transform)
     p, distance = single_solution(constrained_lstsq_batch(m[None], pi.vec()), "the fit")
     return PreferenceDistribution(p), distance
@@ -131,13 +131,14 @@ def _score_pool(
     Ties go to the earliest draw.
 
     Raises:
-        ValidationError: ``k`` is not an integer or is below one.
+        ValidationError: ``k`` is not an integer or is below one, or the
+            sampler's periods are not the dataset's.
         SolverError: no draw converged.
     """
-    k = _check_count(k, "the number of simulations")
-    if k < 1:
-        raise ValidationError("need at least one simulation")
+    k = _check_count(k, "the number of simulations", 1)
     enum, d_pref, d_t = transform.sets, transform.d_pref, sampler_config.d_t
+    if d_t != pi.d_t:
+        raise ValidationError(f"sampler is configured for {d_t} periods, dataset has {pi.d_t}")
     # Built once per pool: SeedSequence(None) draws fresh entropy each time.
     root = _seed_sequence(sampler_config.seed)
     b = pi.vec()
@@ -191,20 +192,10 @@ def estimate(
     candidates.  A draw whose solve fails is recorded and skipped; only a
     fully failed pool raises.
     """
-    if sampler_config.d_t != pi.d_t:
-        raise ValidationError(
-            f"sampler is configured for {sampler_config.d_t} periods, "
-            f"dataset has {pi.d_t}"
-        )
     enum = enumerate_sets(menu, outside_mode=sampler_config.outside_mode)
     transform = build_choice_transform(menu, enum, orderings)
     for rule in extra_rules:
-        if rule.set_index.masks != enum.masks:
-            raise ValidationError(
-                "an injected rule uses a different set enumeration"
-            )
-        if rule.d_pref != orderings.d_pref or rule.d_t != pi.d_t:
-            raise ValidationError("an injected rule has incompatible shape")
+        _check_compatible(rule, transform, pi)
     pool = _score_pool(pi, transform, k, sampler_config, extra_rules=extra_rules)
     seed = sampler_config.seed
     return EstimationResult(

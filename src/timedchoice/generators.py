@@ -22,13 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import (
-    AttentionRule,
-    ChoiceDataset,
-    Menu,
-    SetEnumeration,
-    enumerate_sets,
-)
+from .core import AttentionRule, ChoiceDataset, Menu, SetEnumeration, enumerate_sets
+from .core import _check_count, _check_probabilities, _check_tol
 from .errors import ConfigurationError, ValidationError
 
 
@@ -53,8 +48,7 @@ class GammaSchedule:
         g = np.array(self.gamma, dtype=np.float64, copy=True)
         if g.ndim not in (2, 3):
             raise ValidationError("gamma must have shape (d_t, n) or (d_pref, d_t, n)")
-        if np.any(g < -1e-12) or np.any(g > 1 + 1e-12):
-            raise ValidationError("consideration probabilities must lie in [0, 1]")
+        _check_probabilities(g, "consideration probabilities", sums=False)
         if np.any(np.diff(g, axis=-2) < -1e-12):
             raise ValidationError(
                 "consideration probabilities must be nondecreasing over periods"
@@ -192,8 +186,7 @@ class NormalThreshold:
     """Gaussian satisficing threshold."""
 
     def __init__(self, mean: float, sd: float):
-        if sd <= 0:
-            raise ValidationError("threshold sd must be positive")
+        _check_tol(sd, "threshold sd", positive=True)
         self.mean = float(mean)
         self.sd = float(sd)
 
@@ -235,8 +228,7 @@ class SearchOrderDistribution:
     def __post_init__(self):
         if len(self.orders) != len(self.probs):
             raise ValidationError("need one probability per search order")
-        if abs(sum(self.probs) - 1.0) > 1e-9 or any(p < 0 for p in self.probs):
-            raise ValidationError("search-order probabilities must form a distribution")
+        _check_probabilities(np.asarray(self.probs, dtype=float), "search-order probabilities")
         n = len(self.orders[0])
         for o in self.orders:
             if sorted(o) != list(range(n)):
@@ -305,14 +297,14 @@ def gen_satisficing(
         raise ValidationError("need one utility per menu item")
     if np.unique(util).size != menu.n:
         raise ValidationError("utilities must be strict (no ties)")
-    if n_draws < 1:
-        raise ValidationError("n_draws must be positive")
+    n_draws = _check_count(n_draws, "n_draws", 1)
     _check_fosd(threshold_dists)
     d_t = len(threshold_dists)
     enum = enumerate_sets(menu, outside_mode=False)
     rng = np.random.default_rng(seed)
     orders = np.asarray(search_dist.orders, dtype=np.int64)
-    order_p = np.asarray(search_dist.probs, dtype=np.float64)
+    # numpy's choice refuses the 1e-12 below zero that a distribution may have.
+    order_p = np.maximum(np.asarray(search_dist.probs, dtype=np.float64), 0.0)
     best_item = int(np.argmax(util))
 
     mu = np.zeros((d_t, enum.d_c))
@@ -361,18 +353,14 @@ def diffusion_schedule(
     outside mode (it is pinned to certain consideration).
 
     Raises:
-        ConfigurationError: negative drift or nonpositive sigma, or
-            thresholds that increase over time and actually break the
-            monotone schedule.
+        ConfigurationError: a negative or non-finite drift or threshold, a
+            sigma that is not finite and positive, or thresholds that
+            increase over time and actually break the monotone schedule.
     """
-    if sigma <= 0:
-        raise ConfigurationError("sigma must be positive")
+    _check_tol(sigma, "sigma", positive=True, error=ConfigurationError)
+    # A negative drift can push consideration probabilities down over time.
     drifts = np.asarray(drifts, dtype=np.float64)
-    if np.any(drifts < 0):
-        raise ConfigurationError(
-            "negative drifts can push consideration probabilities down "
-            "over time; they are not supported"
-        )
+    _check_tol(drifts, "drifts", error=ConfigurationError)
     n_free = drifts.shape[0]
     times = np.arange(1, d_t + 1, dtype=np.float64)
     tau = np.asarray(thresholds, dtype=np.float64)
@@ -380,8 +368,7 @@ def diffusion_schedule(
         raise ConfigurationError(
             f"thresholds must have shape ({d_t}, {n_free}), got {tau.shape}"
         )
-    if np.any(tau < 0):
-        raise ConfigurationError("saliency thresholds must be nonnegative")
+    _check_tol(tau, "saliency thresholds", error=ConfigurationError)
     increasing = bool(np.any(np.diff(tau, axis=0) > 1e-12))
     gamma_free = 1.0 - _norm_cdf(
         (tau - drifts[None, :] * times[:, None]) / (np.sqrt(times)[:, None] * sigma)

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import AttentionRule, ChoiceDataset, Menu, OrderingSet, PreferenceDistribution, enumerate_sets
+from .core import AttentionRule, ChoiceDataset, Menu, OrderingSet, PreferenceDistribution
+from .core import _check_count, _check_tol, enumerate_sets
 from .errors import ConfigurationError, SolverError, ValidationError
 from .estimator import _score_pool
 from .solvers import KKT_TOL, constrained_lstsq_batch, single_solution
-from .transform import ChoiceTransform, build_choice_transform, design_matrix
+from .transform import ChoiceTransform, _check_compatible, build_choice_transform, design_matrix
 
 # Not called here; bench/tracing.py looks both names up in this module.
 from .sampler import sample_attention_rule  # noqa: F401
@@ -59,13 +60,12 @@ class TestConfig:
     simplex_sum: bool = True
 
     def __post_init__(self):
-        if self.n_boot < 1:
-            raise ConfigurationError("need at least one bootstrap replication")
+        n_boot = _check_count(self.n_boot, "n_boot", 1, error=ConfigurationError)
+        object.__setattr__(self, "n_boot", n_boot)
         if not (0.0 < self.alpha < 0.5):
             raise ConfigurationError("alpha must lie in (0, 0.5)")
-        # Written so that a NaN tau_n fails it.
-        if self.tau_n is not None and not 0.0 <= self.tau_n < np.inf:
-            raise ConfigurationError(f"tau_n must be finite and nonnegative, got {self.tau_n!r}")
+        if self.tau_n is not None:
+            _check_tol(self.tau_n, "tau_n", error=ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,7 @@ def variance_weights(pi: ChoiceDataset) -> VarianceWeights:
 
 def default_tau(d_pref: int, n_total: int) -> float:
     """Default shrinkage: sqrt(log d / n), capped at 1/(2d)."""
-    if n_total <= 0:
-        raise ValidationError("total sample size must be positive")
+    n_total = _check_count(n_total, "the total sample size", 1)
     return float(min(np.sqrt(np.log(d_pref) / n_total), 0.5 / d_pref))
 
 
@@ -175,10 +174,12 @@ def test_statistic(
     and the fitted frequency vector used to recenter the bootstrap.
 
     Raises:
+        ValidationError: the rule, transform and dataset do not fit together.
         ConfigurationError: infeasible shrinkage (``tau_n > 1 / d_pref``).
         SolverError: the solve did not reach the KKT tolerance; the error
             carries the ``p`` array found and its residual.
     """
+    _check_compatible(rule, transform, pi)
     _tau(tau_n, transform.d_pref, pi)
     return _statistic(pi, design_matrix(rule, transform), weights, tau_n, simplex_sum)
 
@@ -233,8 +234,6 @@ def fit_test_rule(
         ConfigurationError: infeasible shrinkage (``tau_n > 1 / d_pref``),
             before any rule is drawn.
     """
-    if sampler_config.d_t != pi.d_t:
-        raise ValidationError("sampler periods do not match the dataset")
     enum = enumerate_sets(menu, outside_mode=sampler_config.outside_mode)
     transform = build_choice_transform(menu, enum, orderings)
     weights = variance_weights(pi)
@@ -266,12 +265,13 @@ def bootstrap_test(
     T_n with the ``ceil((1 - alpha) (L + 1))``-th order statistic.
 
     Raises:
+        ValidationError: the rule, transform and dataset do not fit together,
+            or the dataset carries no period counts.
         ConfigurationError: infeasible shrinkage (``tau_n > 1 / d_pref``).
         SolverError: the statistic's own solve, or every replication's,
             did not converge.
     """
-    if pi.period_counts is None:
-        raise ValidationError("bootstrap resampling needs per-period counts")
+    _check_compatible(rule, transform, pi)
     d = transform.d_pref
     tau = _tau(config.tau_n, d, pi)
 
@@ -288,7 +288,13 @@ def bootstrap_test(
     # Per-period multinomial resamples, stacked as (L, d_t * n_items).
     pi_star = np.empty((L, d_t, n_items))
     for t in range(d_t):
-        draws = rng.multinomial(counts[t], pi.pi[t], size=L)
+        row = pi.pi[t]
+        try:
+            draws = rng.multinomial(counts[t], row, size=L)
+        except ValueError:
+            # numpy refuses a row a hair outside the simplex, before drawing.
+            row = np.clip(row, 0.0, 1.0)
+            draws = rng.multinomial(counts[t], row / row.sum(), size=L)
         pi_star[:, t, :] = draws / counts[t]
     pi_star = pi_star.reshape(L, d_t * n_items)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Menu, OrderingSet, PreferenceOrdering
+from .core import Menu, OrderingSet, PreferenceOrdering, _check_probabilities, _check_tol
 from .errors import CutoffTieError, ValidationError
 
 
@@ -35,12 +35,8 @@ class Lottery:
         object.__setattr__(self, "outcomes", outs)
         if not outs:
             raise ValidationError("a lottery needs at least one outcome")
-        if any(x < 0 for x, _ in outs):
-            raise ValidationError("payoffs must be nonnegative")
-        if any(q < 0 for _, q in outs):
-            raise ValidationError("probabilities must be nonnegative")
-        if abs(sum(q for _, q in outs) - 1.0) > 1e-9:
-            raise ValidationError("outcome probabilities must sum to one")
+        _check_tol(np.array([x for x, _ in outs]), "payoffs")
+        _check_probabilities(np.array([q for _, q in outs]), "outcome probabilities")
 
     @property
     def expectation(self) -> float:

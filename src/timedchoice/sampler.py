@@ -94,8 +94,8 @@ class SamplerConfig:
     outside_mode: bool = True
 
     def __post_init__(self):
-        if self.d_t < 1:
-            raise ConfigurationError("d_t must be at least 1")
+        d_t = _check_count(self.d_t, "d_t", 1, error=ConfigurationError)
+        object.__setattr__(self, "d_t", d_t)
 
 
 def initial_row_outside(menu: Menu) -> NDArray[np.float64]:
@@ -161,8 +161,7 @@ def _superset_transfer(sub, enum, runs):
     piece = max(1, _BLOCK_CELLS // (d_c * d_c))
     weights = np.empty((min(q, piece), d_c, d_c))
     shares = np.empty((q, d_c))
-    outside = (1 << enum.n_bits) == enum.d_c
-    supersets = _superset_matrix((enum.n_bits, outside))
+    supersets = _superset_matrix((enum.n_bits, enum.outside_mode))
     kth = d_c - FALLBACK_MAX_TARGETS
     pairs, totals, kept, kept_w = [], [], [], []
     n_pairs = 0
@@ -495,8 +494,6 @@ def sample_attention_rules(
         ValidationError: ``count`` is not an integer or is negative.
     """
     count = _check_count(count, "count")
-    if count < 0:
-        raise ValidationError(f"count must be nonnegative, got {count}")
     enum = enumerate_sets(menu, outside_mode=config.outside_mode)
     pool = np.empty((count, config.d_t, orderings.d_pref, enum.d_c))
     root = _seed_sequence(config.seed)

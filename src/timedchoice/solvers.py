@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
+from .core import _check_tol
 from .errors import SolverError, ValidationError
 
 #: Default target for the normalized KKT residual: a solve that ends above
@@ -215,8 +216,7 @@ def constrained_lstsq_batch(
     w = np.broadcast_to(np.asarray(1.0 if weights is None else weights, dtype=np.float64), (k, m))
     if not (np.isfinite(M).all() and np.isfinite(b).all()):
         raise ValidationError("M and b must be finite")
-    if not (np.isfinite(w).all() and (w >= 0).all()):
-        raise ValidationError("weights must be finite and nonnegative")
+    _check_tol(w, "weights")
     if not np.isfinite(lower):
         raise ValidationError(f"lower must be finite, got {lower!r}")
 

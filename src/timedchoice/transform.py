@@ -108,13 +108,21 @@ def block_diag(p: PreferenceDistribution, n: int) -> NDArray[np.float64]:
     return out
 
 
-def _check_compatible(rule: AttentionRule, transform: ChoiceTransform) -> None:
+def _check_compatible(
+    rule: AttentionRule, transform: ChoiceTransform, pi: ChoiceDataset | None = None
+) -> None:
+    """Raise unless ``rule`` fits ``transform`` and, if given, the periods and items of ``pi``."""
     if rule.set_index.masks != transform.sets.masks:
         raise ValidationError("rule and transform use different set enumerations")
     if rule.d_pref != transform.d_pref:
         raise ValidationError(
             f"rule has {rule.d_pref} preference blocks, transform expects "
             f"{transform.d_pref}"
+        )
+    if pi is not None and (pi.d_t, pi.n) != (rule.d_t, transform.menu.n):
+        raise ValidationError(
+            f"dataset is {pi.d_t} x {pi.n}, rule and transform are "
+            f"{rule.d_t} x {transform.menu.n} (periods x items)"
         )
 
 

@@ -245,6 +245,9 @@ class TestExitCodes:
         "name, text",
         [
             ("pi.csv", "period,a,b\n1,0.5,half\n"),
+            ("pi.csv", "period,a,b\n1,0.5,0.5\n2,nan,0.5\n"),
+            ("pi.csv", "period,a,b\n1,0.5,0.5\n2,0.5,inf\n"),
+            ("pi.csv", "period,a,b\n1,-inf,0.5\n"),
             ("pi.csv", "period,a,b,c\n1,0.5,0.5\n2,0.5,0.5\n"),
             ("counts.csv", "period,count\n1,50\n2\n"),
             ("raw.csv", "respondent_id,stopping_time,choice\nr1,0,a\nr2,soon,b\n"),
@@ -269,6 +272,52 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}, line ")
         assert "Traceback" not in err
+
+    def test_stopping_time_is_named_as_written(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("respondent_id,stopping_time,choice\nr1,0,a\nr2,1e400,b\n")
+        assert run(["cluster", "--input", raw, "--periods", 2, "--out", tmp_path / "o.csv"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {raw}, line 3: stopping_time must be finite and nonnegative, got '1e400'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["survive", "estimate", "test"])
+    def test_nan_cell_names_its_line(self, tmp_path, capsys, command):
+        """``survive`` exited 0 with garbage; ``estimate`` and ``test`` blamed the solver."""
+        pi = tmp_path / "pi.csv"
+        pi.write_text("period,a,b,c\n1,0.5,0.3,0.2\n2,nan,0.5,0.5\n3,0.2,0.3,0.5\n")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("period,count\n1,50\n2,50\n3,50\n")
+        args = {
+            "survive": ["survive", "--pi", pi, "--no-never-chosen"],
+            "estimate": ["estimate", "--pi", pi, "--no-outside", "--orderings", "full"],
+            "test": ["test", "--pi", pi, "--counts", counts, "--no-outside",
+                     "--orderings", "full"],
+        }[command]
+        assert run(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: {pi}, line 3: choice frequencies must lie in [0, 1]\n"
+        )
+
+    def test_nan_payoff_is_exit_one(self, tmp_path, capsys):
+        """Python's json reads ``NaN``; the lottery ranked first on most of [-1, 1]."""
+        lots = tmp_path / "lotteries.json"
+        lots.write_text(
+            '{"schema_version": 1, "lotteries": [{"label": "x", "outcomes": [[NaN, 0.5], '
+            '[0, 0.5]]}, {"label": "y", "outcomes": [[10, 1.0]]}]}'
+        )
+        assert run(["crra-table", "--lotteries", lots]) == 1
+        assert capsys.readouterr().err == "error: payoffs must be finite and nonnegative, got nan\n"
+
+    def test_row_sum_a_hair_above_one_resamples(self, tmp_path, capsys):
+        """``multinomial`` refused this row, which the dataset accepts, with a traceback."""
+        pi = tmp_path / "pi.csv"
+        pi.write_text("period,a,b,c\n1,0.6,0.4000000005,0\n2,0.2,0.3,0.5\n")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("period,count\n1,50\n2,50\n")
+        assert run(["test", "--pi", pi, "--counts", counts, "--no-outside",
+                    "--orderings", "full", "--sims", 20, "--boot", 19]) == 0
+        assert "p-value" in capsys.readouterr().out
 
     def test_too_few_distinct_times_for_the_periods_is_exit_one(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"

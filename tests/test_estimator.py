@@ -278,7 +278,8 @@ class TestEstimate:
                 pi, menu3, orderings3, 0, tc.SamplerConfig(d_t=3, outside_mode=False)
             )
 
-    @pytest.mark.parametrize("k", [2.5, 3.0, True, np.True_, "3", None])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, np.True_, "3", None, float("nan")])
     def test_pool_size_must_be_an_integer(self, menu3, orderings3, k):
         """``k = 2.5`` failed inside seeding; ``k = True`` ran a one-rule pool."""
         pi = tc.ChoiceDataset(

@@ -211,6 +211,20 @@ class TestBootstrapTest:
         assert scaled_res.p_value == base.p_value
         assert scaled_res.statistic == pytest.approx(base.statistic / 3.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "row", [[0.6, 0.4000000005, 0.0], [-5e-13, 0.5, 0.5 + 5e-13], [1.0 + 5e-13, 0.0, -5e-13]]
+    )
+    def test_row_numpy_refuses_is_resampled(self, setup3, row):
+        """The dataset accepts these rows; ``multinomial`` refused them with a ValueError."""
+        _, transform, rule = setup3
+        pi = tc.ChoiceDataset(
+            pi=np.array([row, [0.2, 0.3, 0.5], [0.3, 0.3, 0.4]]), period_counts=(50,) * 3
+        )
+        res = tc.bootstrap_test(pi, rule, transform, tc.TestConfig(n_boot=49, seed=0))
+        assert res.bootstrap_stats.size == 49 and np.isfinite(res.bootstrap_stats).all()
+        assert 0.0 < res.p_value <= 1.0
+
     def test_requires_period_counts(self, setup3):
         _, transform, rule = setup3
         pi = tc.ChoiceDataset(pi=np.random.default_rng(0).dirichlet(np.ones(3), size=3))

@@ -224,7 +224,8 @@ class TestSampleAttentionRules:
         with pytest.raises(ValidationError):
             tc.sample_attention_rules(menu3, orderings3, config, -1)
 
-    @pytest.mark.parametrize("count", [2.5, 3.0, True, np.False_, "3"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, np.False_, "3", float("nan")])
     def test_count_must_be_an_integer(self, menu3, orderings3, count):
         config = tc.SamplerConfig(d_t=3, seed=0, outside_mode=False)
         with pytest.raises(ValidationError, match="count must be an integer"):

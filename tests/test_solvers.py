@@ -477,6 +477,27 @@ class TestPolishFallbacks:
         # A zero column leaves the minimizer free along it: same objective.
         np.testing.assert_allclose(got[1][::2], want[1][::2], rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("sum_constraint", [True, False])
+    @pytest.mark.parametrize(
+        "seed, p", [(2, [0.5, 0, 0, 0.2, 0.3, 0]), (6, [0.75, 0.05, 0, 0, 0.2, 0])]
+    )
+    def test_exact_fit_on_a_face_stays_feasible(self, seed, p, sum_constraint):
+        """Exact data from a rule and a ``p`` with zeros, scored on that rule.
+
+        The accepted KKT solution then has coordinates of about -2e-14 and
+        -5e-14, above the ratio test's -1e-12; the polish clamps them to zero,
+        so its iterate stays in the simplex (or the orthant).
+        """
+        menu, orderings = tc.Menu(items=("a", "b", "c")), tc.all_orderings(3)
+        transform = tc.build_choice_transform(menu, tc.enumerate_sets(menu), orderings)
+        config = tc.SamplerConfig(d_t=3, seed=seed, outside_mode=False)
+        rule = tc.sample_attention_rule(menu, orderings, config)
+        data = tc.predict_choices(rule, transform, tc.PreferenceDistribution(np.array(p, float)))
+        b = data.vec()[None]
+        G, h = _grams(tc.design_matrix(rule, transform)[None], b, np.ones_like(b))
+        r = solvers._polish_batch(G, h, sum_constraint=sum_constraint)
+        assert r.min() >= 0.0 and not np.signbit(r).any()
+
 
 @contextlib.contextmanager
 def _first_problem_stuck():
