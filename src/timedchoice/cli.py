@@ -8,7 +8,7 @@ problem (a malformed command line included), and 2 on a numerical failure.
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import re
 import sys
@@ -24,7 +24,6 @@ from .core import (
     PreferenceDistribution,
     PreferenceOrdering,
     all_orderings,
-    enumerate_sets,
 )
 from .errors import SolverError, TimedChoiceError, ValidationError
 from .estimator import estimate
@@ -45,22 +44,27 @@ from .survival import survivor_search
 from .transform import build_choice_transform, predict_choices
 
 
-def _resolve_outside(menu: Menu, label: str | None, no_outside: bool) -> Menu:
-    if no_outside:
-        return Menu(items=menu.items, outside_index=None)
-    if label is None:
-        label = "lO" if "lO" in menu.items else None
-    if label is None:
-        raise ValidationError(
-            "outside mode needs an outside item; pass --outside LABEL or "
-            "--no-outside"
-        )
-    if label not in menu.items:
-        raise ValidationError(f"--outside {label!r} is not a column of --pi")
-    return Menu(items=menu.items, outside_index=menu.items.index(label))
+def _model_inputs(args) -> tuple[ChoiceDataset, Menu, OrderingSet]:
+    """Read ``--pi`` and resolve the outside item and the orderings that ``estimate`` and ``test`` share."""
+    dataset, menu = dataio.read_pi_csv(args.pi)
+    if args.no_outside:
+        menu = Menu(items=menu.items, outside_index=None)
+    else:
+        label = args.outside
+        if label is None:
+            label = "lO" if "lO" in menu.items else None
+        if label is None:
+            raise ValidationError(
+                "outside mode needs an outside item; pass --outside LABEL or "
+                "--no-outside"
+            )
+        if label not in menu.items:
+            raise ValidationError(f"--outside {label!r} is not a column of --pi")
+        menu = Menu(items=menu.items, outside_index=menu.items.index(label))
+    return dataset, menu, _resolve_orderings(args.orderings, menu)
 
 
-def _resolve_orderings(spec: str, menu: Menu, no_outside: bool) -> OrderingSet:
+def _resolve_orderings(spec: str, menu: Menu) -> OrderingSet:
     if spec == "crra":
         expected = set(experiment_menu().items)
         if set(menu.items) != expected:
@@ -68,7 +72,7 @@ def _resolve_orderings(spec: str, menu: Menu, no_outside: bool) -> OrderingSet:
                 "--orderings crra needs the experiment menu columns "
                 f"{sorted(expected)}"
             )
-        base, _ = crra_ordering_set(include_outside_in_ranking=no_outside)
+        base, _ = crra_ordering_set(include_outside_in_ranking=menu.outside_index is None)
         exp_menu = experiment_menu()
         return OrderingSet(
             tuple(
@@ -79,16 +83,10 @@ def _resolve_orderings(spec: str, menu: Menu, no_outside: bool) -> OrderingSet:
     if spec == "full":
         if menu.n > 6:
             raise ValidationError("--orderings full is capped at 6 items")
-        if no_outside or menu.outside_index is None:
-            return all_orderings(menu.n)
-        o = menu.outside_index
-        rest = [i for i in range(menu.n) if i != o]
-        return OrderingSet(
-            tuple(
-                PreferenceOrdering(p + (o,))
-                for p in itertools.permutations(rest)
-            )
-        )
+        full = all_orderings(menu.n)
+        if menu.outside_index is None:
+            return full
+        return OrderingSet(tuple(o for o in full if o.rank[-1] == menu.outside_index))
     doc = dataio.load_json(spec)
     return dataio.orderings_from_json(doc, menu)
 
@@ -128,9 +126,7 @@ def _cmd_survive(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    dataset, menu = dataio.read_pi_csv(args.pi)
-    menu = _resolve_outside(menu, args.outside, args.no_outside)
-    orderings = _resolve_orderings(args.orderings, menu, args.no_outside)
+    dataset, menu, orderings = _model_inputs(args)
     config = SamplerConfig(
         d_t=dataset.d_t, seed=args.seed, outside_mode=not args.no_outside
     )
@@ -145,13 +141,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    dataset, menu = dataio.read_pi_csv(args.pi)
+    dataset, menu, orderings = _model_inputs(args)
     counts = dataio.read_counts_csv(args.counts)
     dataset = ChoiceDataset(
         pi=dataset.pi, period_counts=counts, period_labels=dataset.period_labels
     )
-    menu = _resolve_outside(menu, args.outside, args.no_outside)
-    orderings = _resolve_orderings(args.orderings, menu, args.no_outside)
     root = np.random.SeedSequence(args.seed)
     rule_seed, boot_seed = root.spawn(2)
     config = SamplerConfig(
@@ -188,13 +182,9 @@ def _threshold_from_json(doc: dict):
 
 def _cmd_generate(args) -> int:
     cfg = dataio.load_json(args.config)
-    labels = tuple(cfg["items"])
-    outside = cfg.get("outside")
-    menu = Menu(
-        items=labels,
-        outside_index=labels.index(outside) if outside else None,
-    )
-    d_t = int(cfg["periods"])
+    menu = Menu(items=tuple(cfg["items"]))
+    if cfg.get("outside"):
+        menu = Menu(items=menu.items, outside_index=menu.index_of(cfg["outside"]))
     outside_mode = bool(cfg.get("outside_mode", False))
 
     if args.model == "satisficing":
@@ -212,7 +202,7 @@ def _cmd_generate(args) -> int:
             cfg["utilities"],
             thresholds,
             search_dist,
-            int(cfg.get("n_draws", 100_000)),
+            cfg.get("n_draws", 100_000),
             seed=cfg.get("seed"),
         )
     else:
@@ -228,30 +218,26 @@ def _cmd_generate(args) -> int:
         d_pref = orderings.d_pref
         if args.model == "topn":
             rule = gen_topn(
-                menu, d_t, cfg["search_order"], d_pref=d_pref,
+                menu, cfg["periods"], cfg["search_order"], d_pref=d_pref,
                 outside_mode=outside_mode,
             )
         elif args.model == "mm":
             rule = gen_mm(
-                menu, GammaSchedule(np.asarray(cfg["gamma"], dtype=float)),
-                outside_mode=outside_mode, d_pref=d_pref,
-            )
-        elif args.model == "diffusion":
-            rule = gen_diffusion(
-                menu, cfg["drifts"], float(cfg["sigma"]),
-                np.asarray(cfg["thresholds"], dtype=float), d_t,
+                menu, GammaSchedule(cfg["gamma"]),
                 outside_mode=outside_mode, d_pref=d_pref,
             )
         else:
-            raise ValidationError(f"unknown model {args.model!r}")
+            rule = gen_diffusion(
+                menu, cfg["drifts"], cfg["sigma"], cfg["thresholds"], cfg["periods"],
+                outside_mode=outside_mode, d_pref=d_pref,
+            )
         weights = cfg.get("weights")
         p = (
-            PreferenceDistribution(np.asarray(weights, dtype=float))
+            PreferenceDistribution(weights)
             if weights
             else PreferenceDistribution.uniform(d_pref)
         )
-        enum = enumerate_sets(menu, outside_mode=outside_mode)
-        transform = build_choice_transform(menu, enum, orderings)
+        transform = build_choice_transform(menu, rule.set_index, orderings)
         dataset = predict_choices(rule, transform, p)
 
     dataio.write_pi_csv(args.out, dataset, menu)
@@ -304,7 +290,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _ArgumentParser(
         prog="timedchoice",
         description=__doc__,
@@ -328,32 +316,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_survive)
 
-    p = sub.add_parser("estimate", help="best-of-K preference distribution")
-    p.add_argument("--pi", required=True)
-    p.add_argument("--orderings", default="crra", help="crra | full | file.json")
-    p.add_argument("--sims", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--outside", help="outside item label (default lO when present)")
-    p.add_argument("--no-outside", action="store_true",
-                   help="rank the outside item like any other; all nonempty "
-                        "consideration sets become admissible")
-    p.add_argument("--out")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--pi", required=True)
+    model.add_argument("--orderings", default="crra", help="crra | full | file.json")
+    model.add_argument("--sims", type=int, default=1000)
+    model.add_argument("--seed", type=int, default=0)
+    model.add_argument("--outside", help="outside item label (default lO when present)")
+    model.add_argument("--no-outside", action="store_true",
+                       help="rank the outside item like any other; all nonempty "
+                            "consideration sets become admissible")
+    model.add_argument("--out")
+
+    p = sub.add_parser("estimate", parents=[model],
+                       help="best-of-K preference distribution")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("test", help="bootstrap specification test")
-    p.add_argument("--pi", required=True)
+    p = sub.add_parser("test", parents=[model], help="bootstrap specification test")
     p.add_argument("--counts", required=True)
-    p.add_argument("--sims", type=int, default=1000)
     p.add_argument("--boot", type=int, default=999)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--tau", default="auto")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--orderings", default="crra")
-    p.add_argument("--outside")
-    p.add_argument("--no-outside", action="store_true")
     p.add_argument("--no-simplex-sum", action="store_true",
                    help="drop the unit-sum constraint in the minimization")
-    p.add_argument("--out")
     p.add_argument("--boot-stats-out",
                    help="CSV dump of the bootstrap statistic distribution")
     p.set_defaults(func=_cmd_test)

@@ -39,7 +39,10 @@ def _check_tol(value, what: str = "tol", *, positive: bool = False, error=Valida
     lo = hi = value
     if isinstance(value, np.ndarray):
         lo, hi = float(value.min(initial=np.inf)), float(value.max(initial=0.0))
-    low_ok = 0.0 < lo if positive else 0.0 <= lo
+    try:
+        low_ok = 0.0 < lo if positive else 0.0 <= lo
+    except TypeError:  # a string or None, say, read from a config file
+        raise error(f"{what} must be a number, got {value!r}") from None
     if not (low_ok and hi < np.inf):
         sign = "positive" if positive else "nonnegative"
         raise error(f"{what} must be finite and {sign}, got {hi if low_ok else lo!r}")

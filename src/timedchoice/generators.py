@@ -89,6 +89,7 @@ def gen_topn(
     ``min(t, n)`` (1-based periods), so accumulated attention can only fall
     over time.  In outside mode the outside item must be searched first.
     """
+    d_t = _check_count(d_t, "d_t", 1)
     order = [
         menu.index_of(x) if isinstance(x, str) else int(x) for x in search_order
     ]
@@ -189,6 +190,8 @@ class NormalThreshold:
         _check_tol(sd, "threshold sd", positive=True)
         self.mean = float(mean)
         self.sd = float(sd)
+        if not math.isfinite(self.mean):
+            raise ValidationError(f"threshold mean must be finite, got {mean!r}")
 
     def cdf(self, x: NDArray) -> NDArray:
         return _norm_cdf((np.asarray(x) - self.mean) / self.sd)
@@ -205,6 +208,9 @@ class FixedThreshold:
 
     def __init__(self, value: float):
         self.value = float(value)
+        # +-inf are allowed: a threshold nobody or everybody clears.
+        if math.isnan(self.value):
+            raise ValidationError("threshold value must not be NaN")
 
     def cdf(self, x: NDArray) -> NDArray:
         return (np.asarray(x, dtype=np.float64) >= self.value).astype(np.float64)
@@ -353,10 +359,12 @@ def diffusion_schedule(
     outside mode (it is pinned to certain consideration).
 
     Raises:
-        ConfigurationError: a negative or non-finite drift or threshold, a
-            sigma that is not finite and positive, or thresholds that
-            increase over time and actually break the monotone schedule.
+        ConfigurationError: a ``d_t`` that is not a positive integer, a
+            negative or non-finite drift or threshold, a sigma that is not
+            a finite positive number, or thresholds that increase over time
+            and actually break the monotone schedule.
     """
+    d_t = _check_count(d_t, "d_t", 1, error=ConfigurationError)
     _check_tol(sigma, "sigma", positive=True, error=ConfigurationError)
     # A negative drift can push consideration probabilities down over time.
     drifts = np.asarray(drifts, dtype=np.float64)

@@ -184,8 +184,8 @@ def _superset_transfer(sub, enum, runs):
         w *= targets
         # Keep each donor's FALLBACK_MAX_TARGETS heaviest targets (ties kept).
         wide = np.flatnonzero(np.count_nonzero(targets, axis=1) > FALLBACK_MAX_TARGETS)
-        cut = np.partition(w[wide], kth, axis=1)[:, kth, None]
-        targets[wide] = w[wide] >= cut
+        w_wide = w[wide]
+        targets[wide] = w_wide >= np.partition(w_wide, kth, axis=1)[:, kth, None]
         w *= targets
         keep = np.flatnonzero(targets)
         pairs.append(pair + p0 * d_c)

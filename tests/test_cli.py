@@ -1,10 +1,12 @@
+import argparse
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 import timedchoice as tc
-from timedchoice import dataio
+from timedchoice import cli, dataio
 from timedchoice.cli import main
 
 
@@ -109,6 +111,61 @@ class TestGenerateAndSurvive:
         )
         out = tmp_path / "pi.csv"
         assert run(["generate", "--model", "diffusion", "--config", config, "--out", out]) == 0
+
+
+    @pytest.mark.parametrize("model", ["mm", "satisficing"])
+    def test_periods_is_read_by_topn_and_diffusion_only(self, tmp_path, model):
+        """``mm`` and ``satisficing`` take their periods from ``gamma`` and ``thresholds``."""
+        cfg = {
+            "mm": {"items": ["a", "b"], "gamma": [[0.2, 0.3], [0.5, 0.6]]},
+            "satisficing": {
+                "items": ["x", "y", "z"], "utilities": [3, 1, 2], "n_draws": 500, "seed": 3,
+                "thresholds": [{"type": "fixed", "value": 1.5}, {"type": "fixed", "value": 2.5}],
+            },
+        }[model]
+        outputs = []
+        for periods in (None, 7):
+            config = tmp_path / f"{model}_{periods}.json"
+            config.write_text(json.dumps(cfg if periods is None else {**cfg, "periods": periods}))
+            out, rule_out = tmp_path / f"pi_{periods}.csv", tmp_path / f"rule_{periods}.csv"
+            assert run(["generate", "--model", model, "--config", config, "--out", out,
+                        "--rule-out", rule_out]) == 0
+            outputs.append((out.read_bytes(), rule_out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].decode().splitlines()[0] == "period," + ",".join(cfg["items"])
+        assert len(outputs[0][0].decode().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "model, change, message",
+        [
+            ("topn", {"periods": 2.5}, "d_t must be an integer, got 2.5"),
+            ("topn", {"periods": "x"}, "d_t must be an integer, got 'x'"),
+            ("topn", {"periods": True}, "d_t must be an integer, got True"),
+            ("diffusion", {"periods": 2.5}, "d_t must be an integer, got 2.5"),
+            ("diffusion", {"sigma": "1.0"}, "sigma must be a number, got '1.0'"),
+            ("topn", {"outside": "zz"}, "unknown menu item 'zz'"),
+            ("satisficing", {"n_draws": 2.5}, "n_draws must be an integer, got 2.5"),
+            ("satisficing", {"thresholds": [{"type": "fixed", "value": float("nan")}]},
+             "threshold value must not be NaN"),
+            ("satisficing", {"thresholds": [{"type": "normal", "mean": float("nan"), "sd": 1}]},
+             "threshold mean must be finite, got nan"),
+        ],
+    )
+    def test_malformed_config_is_exit_one(self, tmp_path, capsys, model, change, message):
+        """``int()`` made 2.5 periods 2 and ``true`` 1; a NaN threshold wrote a table."""
+        cfg = {
+            "topn": {"items": ["a", "b", "c"], "periods": 3, "search_order": ["a", "b", "c"]},
+            "diffusion": {"items": ["a", "b"], "periods": 2, "drifts": [0.5, 0.2],
+                          "sigma": 1.0, "thresholds": [[2.0, 1.5], [1.5, 1.0]]},
+            "satisficing": {"items": ["x", "y", "z"], "utilities": [1, 2, 3], "n_draws": 100,
+                            "thresholds": [{"type": "fixed", "value": 1.5}]},
+        }[model]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({**cfg, **change}))
+        out = tmp_path / "pi.csv"
+        assert run(["generate", "--model", model, "--config", config, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestCluster:
@@ -390,3 +447,59 @@ class TestExitCodes:
         assert err.startswith(f"usage: timedchoice {args[0]} ")
         assert f"\nerror: argument {args[-2]}: " in err
         assert "Traceback" not in err
+
+
+class TestParser:
+    @pytest.fixture
+    def pi_path(self, tmp_path):
+        path = tmp_path / "pi.csv"
+        path.write_text("period,a,b,c\n1,0.5,0.3,0.2\n2,0.2,0.5,0.3\n")
+        return path
+
+    def test_built_once_per_process(self, pi_path, capsys, monkeypatch):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(3):
+            assert run(["survive", "--pi", pi_path]) == 0
+        assert progs.count("timedchoice") <= 1
+
+    def test_reuse_after_a_usage_error(self, pi_path, capsys):
+        assert run(["survive", "--pi", pi_path]) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            run(["survive"])
+        assert exc.value.code == 1
+        assert "required: --pi" in capsys.readouterr().err
+        assert run(["survive", "--pi", pi_path]) == 0
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("command", ["estimate", "test"])
+    def test_model_commands_share_options(self, command):
+        extra = ["--counts", "c.csv"] if command == "test" else []
+        shared = ["--pi", "p.csv", "--orderings", "full", "--sims", "7", "--seed", "3",
+                  "--outside", "o", "--out", "r.json"]
+        args = cli.build_parser().parse_args([command, *shared, *extra])
+        assert (args.pi, args.orderings, args.sims, args.seed, args.outside, args.no_outside,
+                args.out) == ("p.csv", "full", 7, 3, "o", False, "r.json")
+        args = cli.build_parser().parse_args([command, "--pi", "p.csv", "--no-outside", *extra])
+        assert (args.orderings, args.sims, args.seed, args.outside, args.no_outside,
+                args.out) == ("crra", 1000, 0, None, True, None)
+
+    @pytest.mark.parametrize("outside", ["a", "b", "lO"])
+    def test_full_orderings_rank_the_outside_item_last(self, tmp_path, capsys, outside):
+        menu = tc.Menu(items=("a", "b", "lO", "c"))
+        pi = tc.ChoiceDataset(pi=np.array([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]]))
+        pi_path = tmp_path / "pi.csv"
+        dataio.write_pi_csv(pi_path, pi, menu)
+        out = tmp_path / "est.json"
+        assert run(["estimate", "--pi", pi_path, "--orderings", "full", "--outside", outside,
+                    "--sims", 2, "--out", out]) == 0
+        got = [e["ordering"] for e in json.loads(out.read_text())["preference_weights"]]
+        rest = [x for x in menu.items if x != outside]
+        assert got == [[*p, outside] for p in itertools.permutations(rest)]

@@ -36,9 +36,9 @@ def _satisficing(n_draws):
     )
 
 
-def _diffusion(sigma=1.0, drift=0.5, threshold=1.0):
+def _diffusion(sigma=1.0, drift=0.5, threshold=1.0, d_t=2):
     return diffusion_schedule(tc.Menu(items=("a", "b")), [drift, 0.5], sigma,
-                              [[threshold, 1.0], [0.5, 0.5]], 2)
+                              [[threshold, 1.0], [0.5, 0.5]], d_t)
 
 
 TABLES = [NAN, INF, -INF, 2.5]
@@ -77,18 +77,25 @@ SITES = [
      COUNTS, ValidationError),
     ("gen_satisficing n_draws", _satisficing, COUNTS, ValidationError),
     ("default_tau n_total", lambda x: tc.default_tau(6, x), COUNTS + [0], ValidationError),
+    ("gen_topn d_t", lambda x: tc.gen_topn(MENU3, x, ("a", "b", "c")), COUNTS + [0],
+     ValidationError),
+    ("diffusion_schedule d_t", lambda x: _diffusion(d_t=x), COUNTS, ConfigurationError),
     # Finite scalar bounds: nonnegative, or positive where zero is meaningless.
     ("RawObservation.stopping_time", lambda x: tc.RawObservation("r", x, "a"), BOUNDS,
      ValidationError),
     ("Lottery payoffs", lambda x: tc.Lottery("l", ((x, 0.5), (0.0, 0.5))), BOUNDS,
      ValidationError),
-    ("NormalThreshold.sd", lambda x: tc.NormalThreshold(0.0, x), BOUNDS + [0.0],
+    ("NormalThreshold.sd", lambda x: tc.NormalThreshold(0.0, x), BOUNDS + [0.0, "1.0"],
      ValidationError),
-    ("diffusion_schedule sigma", lambda x: _diffusion(sigma=x), BOUNDS + [0.0],
+    ("diffusion_schedule sigma", lambda x: _diffusion(sigma=x), BOUNDS + [0.0, "1.0", None],
      ConfigurationError),
     ("diffusion_schedule drifts", lambda x: _diffusion(drift=x), BOUNDS, ConfigurationError),
     ("diffusion_schedule thresholds", lambda x: _diffusion(threshold=x), BOUNDS,
      ConfigurationError),
+    # Finite scalars of either sign; a fixed threshold may be infinite.
+    ("NormalThreshold.mean", lambda x: tc.NormalThreshold(x, 1.0), [NAN, INF, -INF],
+     ValidationError),
+    ("FixedThreshold.value", tc.FixedThreshold, [NAN], ValidationError),
 ]
 
 
