@@ -74,8 +74,26 @@ def _check_probabilities(table: NDArray, what: str, sums: bool = True) -> None:
         raise ValidationError(f"{what} must sum to one")
 
 
-def _as_readonly(a: NDArray, dtype=np.float64) -> NDArray:
-    out = np.array(a, dtype=dtype, copy=True)
+def _as_floats(value, what: str, *, scalar: bool = False, error=ValidationError) -> NDArray:
+    """``value`` as a new float64 array (0-d if ``scalar``), or ``error`` naming ``what``.
+
+    Numbers and nested lists of them convert.  A string, bool, None or
+    ragged list raises: ``float`` would parse ``"1.5"``, and
+    ``np.asarray(..., dtype=float)`` would make None a NaN or stop with a
+    bare ``ValueError``.  (A bool inside a list of floats is read as a
+    number by numpy.)  Range and finiteness are left to the caller's checks.
+    """
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged list
+        a = None
+    if a is None or a.dtype.kind not in "iuf" or (scalar and a.ndim):
+        raise error(f"{what} must be {'a number' if scalar else 'numbers'}, got {value!r}")
+    return a.astype(np.float64)
+
+
+def _as_readonly(a, what: str) -> NDArray:
+    out = _as_floats(a, what)
     out.setflags(write=False)
     return out
 
@@ -365,7 +383,7 @@ class ChoiceDataset:
     period_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        pi = _as_readonly(self.pi)
+        pi = _as_readonly(self.pi, "choice frequencies")
         if pi.ndim != 2:
             raise ValidationError("pi must be a (periods, items) matrix")
         _check_probabilities(pi, "choice frequencies")
@@ -417,7 +435,7 @@ class AttentionRule:
     d_pref: int = 1
 
     def __post_init__(self):
-        u = _as_readonly(self.u)
+        u = _as_readonly(self.u, "attention rows")
         if u.ndim != 2:
             raise ValidationError("u must be a 2-D matrix")
         d_pref, d_c = _check_count(self.d_pref, "d_pref", 1), self.set_index.d_c
@@ -453,7 +471,7 @@ class PreferenceDistribution:
     p: NDArray[np.float64]
 
     def __post_init__(self):
-        p = _as_readonly(self.p)
+        p = _as_readonly(self.p, "preference weights")
         if p.ndim != 1:
             raise ValidationError("p must be a vector")
         _check_probabilities(p, "preference weights")

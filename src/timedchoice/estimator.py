@@ -29,7 +29,15 @@ from .core import (
     enumerate_sets,
 )
 from .errors import SolverError, ValidationError
-from .sampler import SamplerConfig, _child_states, _draw_rules, _seed_sequence
+from .sampler import (
+    SamplerConfig,
+    _child_states,
+    _draw_child,
+    _draw_rules,
+    _pool_workspace,
+    _seed_sequence,
+    _slab_rules,
+)
 from .solvers import KKT_TOL, constrained_lstsq_batch, single_solution
 from .transform import (
     ChoiceTransform,
@@ -42,9 +50,11 @@ from .transform import (
 # Not called here; bench/tracing.py looks it up in this module.
 from .sampler import sample_attention_rule  # noqa: F401
 
-#: Rules are sampled and solved in chunks of this many at a time.  The
-#: batched solver's per-iteration overhead dominates on small problems, so
-#: fewer, larger chunks are faster; this size solves a 1,000-rule pool at once.
+#: Rules are solved in chunks of this many at a time.  The batched solver's
+#: per-iteration overhead dominates on small problems, so fewer, larger chunks
+#: are faster; this size solves a 1,000-rule pool at once.  A chunk holds its
+#: design matrices, ``d_t * n * d_pref`` doubles a rule (1.8 MB on the bundled
+#: experiment), and at most one slab of raw rows, drawn a slab at a time.
 CHUNK = 1024
 
 
@@ -130,6 +140,13 @@ def _score_pool(
     :data:`~timedchoice.solvers.KKT_TOL` scores ``inf`` and can never win.
     Ties go to the earliest draw.
 
+    A rule is scored through its design matrix alone, so the pool keeps only
+    a chunk's design matrices.  Each chunk is drawn in slabs (see
+    :func:`~timedchoice.sampler._slab_rules`) that become design rows as soon
+    as they are drawn, and each slab overwrites the last.  The winner's rows
+    are copied if its slab is still held when its chunk is scored, and
+    otherwise drawn again from its child once the pool is done.
+
     Raises:
         ValidationError: ``k`` is not an integer or is below one, or the
             sampler's periods are not the dataset's.
@@ -144,18 +161,26 @@ def _score_pool(
     b = pi.vec()
     n = k + len(extra_rules)
     objectives = np.full(n, np.inf)
-    # One draw buffer, reused by every chunk; the winner copies its rows.
-    buffer = np.empty((min(n, CHUNK), d_t, d_pref, enum.d_c))
-    best_obj, best_index, best_p, best_rule = np.inf, -1, None, None
+    slab = np.empty((min(k, CHUNK, _slab_rules(d_t, d_pref, enum.d_c)), d_t, d_pref, enum.d_c))
+    design = np.empty((min(n, CHUNK), b.size, d_pref))
+    workspace = _pool_workspace(d_pref, enum.d_c, k)
+    held = 0  # the pool index of the slab's first rule
+
+    def score(a, rules):
+        nonlocal held
+        held = start + a
+        design_matrix_batch(rules, transform, out=ms[a : a + len(rules)])
+
+    best_obj, best_index, best_p, best_blocks = np.inf, -1, None, None
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        blocks = buffer[: stop - start]
+        ms = design[: stop - start]
         drawn = max(0, min(stop, k) - start)
         states = _child_states(root, root.n_children_spawned + start, drawn)
-        _draw_rules(enum, d_pref, sampler_config, states, blocks[:drawn])
-        for row, rule in zip(blocks[drawn:], extra_rules[max(start - k, 0) :]):
-            row[...] = rule.blocks()
-        ms = design_matrix_batch(blocks, transform)
+        _draw_rules(enum, d_pref, sampler_config, states, slab, sink=score, workspace=workspace)
+        if drawn < len(ms):
+            extras = [rule.blocks() for rule in extra_rules[start + drawn - k : stop - k]]
+            design_matrix_batch(np.stack(extras), transform, out=ms[drawn:])
         p, obj, res = constrained_lstsq_batch(
             ms, b, weights=weights, lower=lower, sum_constraint=sum_constraint
         )
@@ -164,12 +189,16 @@ def _score_pool(
         j = int(np.argmin(obj))
         if obj[j] < best_obj:
             best_obj, best_index, best_p = obj[j], start + j, p[j]
-            best_rule = (
-                extra_rules[best_index - k] if best_index >= k
-                else AttentionRule(u=blocks[j].reshape(d_t, -1), set_index=enum, d_pref=d_pref)
-            )
-    if best_rule is None:
+            in_slab = held <= best_index < min(held + len(slab), k)
+            best_blocks = slab[best_index - held].copy() if in_slab else None
+    if best_index < 0:
         raise SolverError("every simulated rule failed to solve")
+    if best_index >= k:
+        best_rule = extra_rules[best_index - k]
+    else:
+        if best_blocks is None:
+            best_blocks = _draw_child(enum, d_pref, sampler_config, root, best_index, workspace)
+        best_rule = AttentionRule(u=best_blocks.reshape(d_t, -1), set_index=enum, d_pref=d_pref)
     return _Pool(objectives, best_index, best_p, best_rule)
 
 

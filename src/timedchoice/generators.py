@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import AttentionRule, ChoiceDataset, Menu, SetEnumeration, enumerate_sets
-from .core import _check_count, _check_probabilities, _check_tol
+from .core import _as_floats, _check_count, _check_probabilities, _check_tol
 from .errors import ConfigurationError, ValidationError
 
 
@@ -45,7 +45,7 @@ class GammaSchedule:
     gamma: NDArray[np.float64]
 
     def __post_init__(self):
-        g = np.array(self.gamma, dtype=np.float64, copy=True)
+        g = _as_floats(self.gamma, "consideration probabilities")
         if g.ndim not in (2, 3):
             raise ValidationError("gamma must have shape (d_t, n) or (d_pref, d_t, n)")
         _check_probabilities(g, "consideration probabilities", sums=False)
@@ -188,7 +188,7 @@ class NormalThreshold:
 
     def __init__(self, mean: float, sd: float):
         _check_tol(sd, "threshold sd", positive=True)
-        self.mean = float(mean)
+        self.mean = float(_as_floats(mean, "threshold mean", scalar=True))
         self.sd = float(sd)
         if not math.isfinite(self.mean):
             raise ValidationError(f"threshold mean must be finite, got {mean!r}")
@@ -207,7 +207,7 @@ class FixedThreshold:
     """Degenerate satisficing threshold (point mass)."""
 
     def __init__(self, value: float):
-        self.value = float(value)
+        self.value = float(_as_floats(value, "threshold value", scalar=True))
         # +-inf are allowed: a threshold nobody or everybody clears.
         if math.isnan(self.value):
             raise ValidationError("threshold value must not be NaN")
@@ -234,7 +234,8 @@ class SearchOrderDistribution:
     def __post_init__(self):
         if len(self.orders) != len(self.probs):
             raise ValidationError("need one probability per search order")
-        _check_probabilities(np.asarray(self.probs, dtype=float), "search-order probabilities")
+        what = "search-order probabilities"
+        _check_probabilities(_as_floats(self.probs, what), what)
         n = len(self.orders[0])
         for o in self.orders:
             if sorted(o) != list(range(n)):
@@ -298,7 +299,7 @@ def gen_satisficing(
     Returns the empirical attention rule (one preference block; subject to
     Monte-Carlo noise) and the empirical choice dataset.
     """
-    util = np.asarray(utilities, dtype=np.float64)
+    util = _as_floats(utilities, "utilities")
     if util.shape != (menu.n,):
         raise ValidationError("need one utility per menu item")
     if np.unique(util).size != menu.n:
@@ -367,11 +368,11 @@ def diffusion_schedule(
     d_t = _check_count(d_t, "d_t", 1, error=ConfigurationError)
     _check_tol(sigma, "sigma", positive=True, error=ConfigurationError)
     # A negative drift can push consideration probabilities down over time.
-    drifts = np.asarray(drifts, dtype=np.float64)
+    drifts = _as_floats(drifts, "drifts", error=ConfigurationError)
     _check_tol(drifts, "drifts", error=ConfigurationError)
     n_free = drifts.shape[0]
     times = np.arange(1, d_t + 1, dtype=np.float64)
-    tau = np.asarray(thresholds, dtype=np.float64)
+    tau = _as_floats(thresholds, "saliency thresholds", error=ConfigurationError)
     if tau.shape != (d_t, n_free):
         raise ConfigurationError(
             f"thresholds must have shape ({d_t}, {n_free}), got {tau.shape}"

@@ -75,6 +75,61 @@ _BLOCK_CELLS = 64 * 6 * 32 * 32
 _STATE_ROWS = 1024
 
 
+def _block_rules(d_pref: int, d_c: int) -> int:
+    """Rules per lockstep block (see ``_BLOCK_RULES``)."""
+    return max(1, min(_BLOCK_RULES, _BLOCK_CELLS // (d_pref * d_c * d_c)))
+
+
+def _slab_rules(d_t: int, d_pref: int, d_c: int) -> int:
+    """Rules per slab of a drawn pool: whole blocks, their rows within ``_BLOCK_CELLS`` doubles.
+
+    Always at least one block.  On the bundled experiment (6 periods, 6
+    types, 32 sets) that is 320 rules, and 84 on an 8-item menu in outside
+    mode; a 3-item pool of 1,000 rules is one slab.
+    """
+    block = _block_rules(d_pref, d_c)
+    return block * max(1, _BLOCK_CELLS // (d_t * d_pref * d_c * block))
+
+
+class _Workspace:
+    """Fallback buffers that every step of one pool reuses (see :func:`_superset_transfer`).
+
+    Drawing into them instead of fresh arrays keeps a pool's steps from
+    allocating, and so faulting in, megabytes per step.  They are allocated
+    on first use, so a pool that never takes the fallback allocates none
+    (criterion 08's 3-item pools took it in none of ten ``montecarlo``
+    tasks).
+    """
+
+    def __init__(self, rows: int, d_c: int):
+        self.piece = max(1, min(rows, _BLOCK_CELLS // (d_c * d_c)))
+        self.d_c = d_c
+        self._buffers = None
+
+    def buffers(self) -> tuple[NDArray, NDArray, NDArray, NDArray]:
+        """``(weights, w, targets, mask)``, allocated on the first call.
+
+        ``weights`` holds the ``(piece, d_c, d_c)`` target weights of a piece
+        of stuck rows.  The others have room for one ``d_c`` row per (row,
+        donor) pair of a piece: the donors' weights, their targets and a
+        boolean scratch mask.
+        """
+        if self._buffers is None:
+            piece, d_c = self.piece, self.d_c
+            self._buffers = (
+                np.empty((piece, d_c, d_c)),
+                np.empty((piece * d_c, d_c)),
+                np.empty((piece * d_c, d_c), dtype=bool),
+                np.empty((piece * d_c, d_c), dtype=bool),
+            )
+        return self._buffers
+
+
+def _pool_workspace(d_pref: int, d_c: int, rules: int) -> _Workspace:
+    """A workspace for every step of a pool of ``rules``: one block's rows at most."""
+    return _Workspace(min(_block_rules(d_pref, d_c), rules) * d_pref, d_c)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Configuration of the attention-rule sampler.
@@ -131,7 +186,7 @@ def _runs(owner, rngs):
     return zip([rngs[i] for i in owner[starts].tolist()], starts, [*starts[1:], owner.size])
 
 
-def _superset_transfer(sub, enum, runs):
+def _superset_transfer(sub, enum, runs, workspace=None):
     """Guaranteed-feasible directions: spread mass onto strict supersets.
 
     Shifting probability from a set onto its strict supersets can only
@@ -155,11 +210,18 @@ def _superset_transfer(sub, enum, runs):
     down to each donor's kept targets in pieces of at most
     :data:`_BLOCK_CELLS` cells, so a rule with many preference blocks over
     many sets never holds all of its draw at once.
+
+    A piece is drawn into ``workspace`` (a :class:`_Workspace`, which sets
+    the piece size), which the caller keeps for a whole pool; without one, a
+    workspace for ``sub`` is made here.  Piece size does not change the
+    result.
     """
     q, d_c = sub.shape
     runs = list(runs)
-    piece = max(1, _BLOCK_CELLS // (d_c * d_c))
-    weights = np.empty((min(q, piece), d_c, d_c))
+    if workspace is None:
+        workspace = _Workspace(q, d_c)
+    piece = workspace.piece
+    weights, w_rows, targets_rows, mask_rows = workspace.buffers()
     shares = np.empty((q, d_c))
     supersets = _superset_matrix((enum.n_bits, enum.outside_mode))
     kth = d_c - FALLBACK_MAX_TARGETS
@@ -178,14 +240,29 @@ def _superset_transfer(sub, enum, runs):
         # supersets, so it never sends anything.
         pair = np.flatnonzero(rows > GAMMA_FLOOR)
         row = pair // d_c
-        targets = (rows < 1.0 - GAMMA_FLOOR)[row]
-        targets &= supersets[pair - row * d_c]
-        w = np.take(weights[: p1 - p0].reshape(-1, d_c), pair, axis=0)
+        m = pair.size
+        # mode="clip" writes straight into ``out`` (mode="raise" buffers);
+        # every index is in range.
+        targets = np.take(
+            rows < 1.0 - GAMMA_FLOOR, row, axis=0, out=targets_rows[:m], mode="clip"
+        )
+        targets &= np.take(
+            supersets, pair - row * d_c, axis=0, out=mask_rows[:m], mode="clip"
+        )
+        drawn = weights[: p1 - p0].reshape(-1, d_c)
+        w = np.take(drawn, pair, axis=0, out=w_rows[:m], mode="clip")
         w *= targets
-        # Keep each donor's FALLBACK_MAX_TARGETS heaviest targets (ties kept).
+        # Keep each donor's FALLBACK_MAX_TARGETS heaviest targets (ties kept):
+        # a wide donor keeps the targets weighing at least its third
+        # heaviest, found by partitioning a copy of its row in the piece's
+        # weight block, which ``w`` has finished reading.  Other donors keep
+        # every target (a floor of zero).
         wide = np.flatnonzero(np.count_nonzero(targets, axis=1) > FALLBACK_MAX_TARGETS)
-        w_wide = w[wide]
-        targets[wide] = w_wide >= np.partition(w_wide, kth, axis=1)[:, kth, None]
+        w_wide = np.take(w, wide, axis=0, out=drawn[: wide.size], mode="clip")
+        w_wide.partition(kth, axis=1)
+        floor = np.zeros(m)
+        floor[wide] = w_wide[:, kth]
+        targets &= np.greater_equal(w, floor[:, None], out=mask_rows[:m])
         w *= targets
         keep = np.flatnonzero(targets)
         pairs.append(pair + p0 * d_c)
@@ -248,13 +325,14 @@ def _draw_directions(states, psi, enum):
     return xi, gmax
 
 
-def _step_rows(states, enum, rngs):
+def _step_rows(states, enum, rngs, workspace=None):
     """Advance a block of rules one period in lockstep.
 
     ``states`` is ``(n, d_pref, d_c)``: rule i's rows, stepped on generator
     ``rngs[i]``.  Each generator draws the same numbers in the same order
     as it would stepping its rule alone, so the block's rows equal those of
-    one rule at a time bit for bit.  Returns the stepped rows.
+    one rule at a time bit for bit.  Stuck rows take the fallback in
+    ``workspace`` (see :func:`_superset_transfer`).  Returns the stepped rows.
     """
     n, d_pref, d_c = states.shape
     rows = states.reshape(n * d_pref, d_c)
@@ -286,7 +364,9 @@ def _step_rows(states, enum, rngs):
         pending = pending[~ok]
     stuck = np.flatnonzero(gmax <= GAMMA_FLOOR)
     if stuck.size:
-        fb_xi, fb_g = _superset_transfer(rows[stuck], enum, _runs(stuck // d_pref, rngs))
+        fb_xi, fb_g = _superset_transfer(
+            rows[stuck], enum, _runs(stuck // d_pref, rngs), workspace
+        )
         xi[stuck] = fb_xi
         gmax[stuck] = fb_g
     gamma = np.empty((n, d_pref))
@@ -433,8 +513,8 @@ def _hashed_seed() -> type:
     return HashedSeed
 
 
-def _draw_rules(enum, d_pref, config, states, out):
-    """Draw rule ``i`` into ``out[i]``, ``out`` being ``(len(states), d_t, d_pref, d_c)``.
+def _draw_rules(enum, d_pref, config, states, out, *, sink=None, workspace=None):
+    """Draw rule ``i`` of ``states`` into ``out``, ``(m, d_t, d_pref, d_c)``.
 
     ``states`` is ``(n, 4)`` ``uint64``: row i is ``generate_state(4,
     np.uint64)`` of rule i's seed (see :func:`_child_states`), and rule i runs
@@ -444,21 +524,52 @@ def _draw_rules(enum, d_pref, config, states, out):
     :func:`sample_attention_rule` bit for bit.  Blocks hold at most
     ``_BLOCK_RULES`` rules and at most ``_BLOCK_CELLS / (d_pref d_c^2)``, so a
     block's fallback draws fit in one piece (see :func:`_superset_transfer`).
+
+    Without ``sink``, ``out`` holds all ``n`` rules (``m = n``).  With it,
+    ``out`` is a slab of ``m`` rules, ideally whole blocks (see
+    :func:`_slab_rules`): rules ``a, ..., a + m - 1`` are drawn into it and
+    handed on as ``sink(a, out[:m])``, then the next ``m`` overwrite them,
+    so a pool never holds more than one slab of raw rows.
+
+    ``workspace`` (a :class:`_Workspace`) holds the fallback's buffers; a
+    pool drawn in several calls passes the same one to each.  Without it,
+    one is allocated for this call.
     """
     states = np.ascontiguousarray(states, dtype=np.uint64)
     if states.ndim != 2 or states.shape[1] != 4:
         raise ValidationError(f"states must be (n, 4), got {states.shape}")
-    block = max(1, min(_BLOCK_RULES, _BLOCK_CELLS // (d_pref * enum.d_c * enum.d_c)))
+    block = _block_rules(d_pref, enum.d_c)
+    if workspace is None:
+        workspace = _pool_workspace(d_pref, enum.d_c, len(states))
+    slab = max(1, len(out) if sink is not None else len(states))
     hashed_seed = _hashed_seed()
-    for a in range(0, len(states), block):
-        rngs = [
-            np.random.Generator(np.random.PCG64(hashed_seed(words)))
-            for words in states[a : a + block]
-        ]
-        rules = out[a : a + len(rngs)]
-        rules[:, 0] = rows = _initial_states(enum, config, d_pref, rngs)
-        for t in range(1, config.d_t):
-            rules[:, t] = rows = _step_rows(rows, enum, rngs)
+    for s in range(0, len(states), slab):
+        held = out[: min(slab, len(states) - s)]
+        for a in range(0, len(held), block):
+            rngs = [
+                np.random.Generator(np.random.PCG64(hashed_seed(words)))
+                for words in states[s + a : s + min(a + block, len(held))]
+            ]
+            rules = held[a : a + len(rngs)]
+            rules[:, 0] = rows = _initial_states(enum, config, d_pref, rngs)
+            for t in range(1, config.d_t):
+                rules[:, t] = rows = _step_rows(rows, enum, rngs, workspace)
+        if sink is not None:
+            sink(s, held)
+
+
+def _draw_child(enum, d_pref, config, root, i, workspace=None) -> NDArray[np.float64]:
+    """Rule ``i`` of the pool drawn on child streams of ``root``, as ``(d_t, d_pref, d_c)``.
+
+    The same bytes as ``[i]`` of :func:`sample_attention_rules` for a seed
+    whose :class:`~numpy.random.SeedSequence` is ``root``: child
+    ``root.n_children_spawned + i``.  The estimator re-draws its winner with
+    this once the winner's slab is gone.
+    """
+    blocks = np.empty((1, config.d_t, d_pref, enum.d_c))
+    states = _child_states(root, root.n_children_spawned + i, 1)
+    _draw_rules(enum, d_pref, config, states, blocks, workspace=workspace)
+    return blocks[0]
 
 
 def sample_attention_rule(
@@ -497,9 +608,13 @@ def sample_attention_rules(
     enum = enumerate_sets(menu, outside_mode=config.outside_mode)
     pool = np.empty((count, config.d_t, orderings.d_pref, enum.d_c))
     root = _seed_sequence(config.seed)
+    d_pref = orderings.d_pref
+    workspace = _pool_workspace(d_pref, enum.d_c, count)
     for start in range(0, count, _STATE_ROWS):
         states = _child_states(
             root, root.n_children_spawned + start, min(_STATE_ROWS, count - start)
         )
-        _draw_rules(enum, orderings.d_pref, config, states, pool[start : start + len(states)])
+        _draw_rules(
+            enum, d_pref, config, states, pool[start : start + len(states)], workspace=workspace
+        )
     return pool

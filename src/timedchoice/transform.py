@@ -159,10 +159,17 @@ def design_matrix(
 
 
 def design_matrix_batch(
-    blocks: NDArray[np.float64], transform: ChoiceTransform
+    blocks: NDArray[np.float64], transform: ChoiceTransform, out: NDArray | None = None
 ) -> NDArray[np.float64]:
-    """Design matrices for a stack of rules given as (k, d_t, d_pref, d_c)."""
+    """Design matrices for a stack of rules given as (k, d_t, d_pref, d_c).
+
+    ``out``, a C-contiguous ``(k, d_t * n, d_pref)`` array, receives them if
+    given, so a caller stacking many batches holds no second copy.
+    """
     k, d_t = blocks.shape[0], blocks.shape[1]
-    cols = np.einsum("ktpc,pcn->ktnp", blocks, transform.onehot(), optimize=True)
-    return cols.reshape(k, d_t * transform.menu.n, transform.d_pref)
+    n, d_pref = transform.menu.n, transform.d_pref
+    if out is not None:
+        out = np.reshape(out, (k, d_t, n, d_pref), copy=False)
+    cols = np.einsum("ktpc,pcn->ktnp", blocks, transform.onehot(), out=out, optimize=True)
+    return cols.reshape(k, d_t * n, d_pref)
 

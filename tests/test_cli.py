@@ -149,12 +149,25 @@ class TestGenerateAndSurvive:
              "threshold value must not be NaN"),
             ("satisficing", {"thresholds": [{"type": "normal", "mean": float("nan"), "sd": 1}]},
              "threshold mean must be finite, got nan"),
+            # Strings where numbers belong ended in a ValueError traceback.
+            ("mm", {"gamma": "x"}, "consideration probabilities must be numbers, got 'x'"),
+            ("topn", {"weights": [0.5, "q"]}, "preference weights must be numbers, got [0.5, 'q']"),
+            ("satisficing", {"thresholds": [{"type": "normal", "mean": "x", "sd": 1}]},
+             "threshold mean must be a number, got 'x'"),
+            ("satisficing", {"thresholds": [{"type": "fixed", "value": "1.5"}]},
+             "threshold value must be a number, got '1.5'"),
+            ("satisficing", {"utilities": [1, "2", 3]},
+             "utilities must be numbers, got [1, '2', 3]"),
+            ("diffusion", {"drifts": [0.5, "x"]}, "drifts must be numbers, got [0.5, 'x']"),
+            ("diffusion", {"thresholds": [[2.0, 1.5], [1.5]]},
+             "saliency thresholds must be numbers, got [[2.0, 1.5], [1.5]]"),
         ],
     )
     def test_malformed_config_is_exit_one(self, tmp_path, capsys, model, change, message):
         """``int()`` made 2.5 periods 2 and ``true`` 1; a NaN threshold wrote a table."""
         cfg = {
             "topn": {"items": ["a", "b", "c"], "periods": 3, "search_order": ["a", "b", "c"]},
+            "mm": {"items": ["a", "b"], "gamma": [[0.2, 0.3], [0.5, 0.6]]},
             "diffusion": {"items": ["a", "b"], "periods": 2, "drifts": [0.5, 0.2],
                           "sigma": 1.0, "thresholds": [[2.0, 1.5], [1.5, 1.0]]},
             "satisficing": {"items": ["x", "y", "z"], "utilities": [1, 2, 3], "n_draws": 100,

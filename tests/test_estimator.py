@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import timedchoice as tc
 import timedchoice.estimator as est
-from timedchoice import dataio
+from timedchoice import dataio, sampler
 from timedchoice.errors import SolverError, ValidationError
 
 from conftest import random_attention_rule
@@ -308,3 +309,138 @@ class TestEstimate:
             tc.estimate(
                 pi, menu3, orderings3, 1, tc.SamplerConfig(d_t=5, outside_mode=False)
             )
+
+
+def _record_redraws(monkeypatch):
+    """Wrap the estimator's winner re-draw; returns the list of re-drawn indices."""
+    redrawn, real = [], est._draw_child
+
+    def recorded(enum, d_pref, config, root, i, workspace=None):
+        redrawn.append(i)
+        return real(enum, d_pref, config, root, i, workspace)
+
+    monkeypatch.setattr(est, "_draw_child", recorded)
+    return redrawn
+
+
+class TestSlabs:
+    """A chunk is drawn a slab at a time; the winner is copied or re-drawn by index."""
+
+    @pytest.fixture
+    def two_rule_slabs(self, monkeypatch):
+        # menu3 without outside mode: 6 types over 7 sets.  A budget of two
+        # rules' fallback cells makes blocks and slabs of 2 rules.
+        monkeypatch.setattr(sampler, "_BLOCK_CELLS", 2 * 6 * 7 * 7)
+        assert sampler._slab_rules(4, 6, 7) == 2
+
+    @pytest.mark.parametrize(
+        "chunk, winner, redrawn",
+        [
+            (1024, 1, [1]),  # an earlier slab of the only chunk
+            (1024, 3, [3]),
+            (1024, 10, []),  # the last slab, still held
+            (4, 1, [1]),  # an earlier slab of an earlier chunk
+            (4, 3, []),  # the last slab of an earlier chunk, copied in time
+            (4, 11, []),
+        ],
+    )
+    def test_winner_is_copied_or_redrawn(
+        self, menu3, orderings3, monkeypatch, two_rule_slabs, chunk, winner, redrawn
+    ):
+        transform = tc.build_choice_transform(menu3, tc.enumerate_sets(menu3), orderings3)
+        config = tc.SamplerConfig(d_t=4, seed=1, outside_mode=False)
+        pool = tc.sample_attention_rules(menu3, orderings3, config, 12)
+        truth = tc.AttentionRule(
+            u=pool[winner].reshape(4, -1), set_index=transform.sets, d_pref=6
+        )
+        pi = tc.predict_choices(truth, transform, tc.PreferenceDistribution.uniform(6))
+        monkeypatch.setattr(est, "CHUNK", chunk)
+        calls = _record_redraws(monkeypatch)
+        result = tc.estimate(pi, menu3, orderings3, 12, config)
+        assert result.best_index == winner
+        assert calls == redrawn
+        np.testing.assert_array_equal(result.best_rule.blocks(), pool[winner])
+
+    @pytest.mark.parametrize("seed_kind", ["int", "spawned", "none"])
+    @pytest.mark.parametrize("small_slabs", [False, True])
+    def test_winner_equals_the_pool_rule(
+        self, menu3, orderings3, monkeypatch, seed_kind, small_slabs
+    ):
+        """Bit for bit the rule ``sample_attention_rules`` draws at ``best_index``."""
+        if small_slabs:
+            monkeypatch.setattr(sampler, "_BLOCK_CELLS", 2 * 6 * 7 * 7)
+        seed = {
+            "int": 3,  # winner 30, in an earlier slab when slabs are small
+            "spawned": np.random.SeedSequence(42),  # winner 8
+            "none": None,
+        }[seed_kind]
+        if seed_kind == "spawned":
+            seed.spawn(3)  # rule i is child 3 + i
+        roots, real = [], est._seed_sequence
+
+        def recorded(s):
+            roots.append(real(s))
+            return roots[-1]
+
+        monkeypatch.setattr(est, "_seed_sequence", recorded)
+        calls = _record_redraws(monkeypatch)
+        pi = tc.ChoiceDataset(pi=np.random.default_rng(9).dirichlet(np.ones(3), size=3))
+        config = tc.SamplerConfig(d_t=3, seed=seed, outside_mode=False)
+        result = tc.estimate(pi, menu3, orderings3, 40, config)
+        pool = tc.sample_attention_rules(
+            menu3, orderings3, replace(config, seed=roots[0]), 40
+        )
+        np.testing.assert_array_equal(result.best_rule.blocks(), pool[result.best_index])
+        # One slab holds the whole 40-rule pool unless the budget is shrunk.
+        assert calls == ([result.best_index] if small_slabs and result.best_index < 38 else [])
+
+    def test_montecarlo_pool_is_one_slab(self, menu3, orderings3, monkeypatch):
+        """Criterion 08's pool of 1,000: one draw call, one design call, no re-draw."""
+        draws, designs = [], []
+        real_draw, real_design = est._draw_rules, est.design_matrix_batch
+
+        def draw(*args, **kwargs):
+            draws.append(len(args[3]))
+            return real_draw(*args, **kwargs)
+
+        def design(blocks, *args, **kwargs):
+            designs.append(len(blocks))
+            return real_design(blocks, *args, **kwargs)
+
+        monkeypatch.setattr(est, "_draw_rules", draw)
+        monkeypatch.setattr(est, "design_matrix_batch", design)
+        calls = _record_redraws(monkeypatch)
+        pi = tc.ChoiceDataset(
+            pi=np.random.default_rng(3).dirichlet(np.ones(3), size=3), period_counts=(500,) * 3
+        )
+        config = tc.SamplerConfig(d_t=3, seed=0, outside_mode=False)
+        tc.fit_test_rule(pi, menu3, orderings3, 1000, config, tc.TestConfig(seed=1))
+        assert draws == [1000] and designs == [1000] and calls == []
+
+    def test_pool_memory_does_not_hold_raw_rules(self):
+        """8 items in outside mode, K = 256: the raw rows alone are 9.0 MiB.
+
+        The parent of this design held them all and peaked at 14.4 MiB
+        under tracemalloc; a pool now holds one 3 MiB slab, the fallback's
+        workspace and 0.6 MiB of design rows, and peaks at 11.0 MiB.  The
+        peak also stays flat as the pool grows past one slab (84 rules).
+        """
+        menu = tc.Menu(items=tuple("abcdefgh"), outside_index=7)
+        rng = np.random.default_rng(5)
+        orderings = tc.OrderingSet(
+            tuple(tc.PreferenceOrdering(tuple(rng.permutation(8).tolist())) for _ in range(6))
+        )
+        pi = tc.ChoiceDataset(pi=rng.dirichlet(np.ones(8), size=6))
+        config = tc.SamplerConfig(d_t=6, seed=0, outside_mode=True)
+        tc.estimate(pi, menu, orderings, 2, config)  # caches and imports
+        peaks = []
+        for k in (84, 256):
+            tracemalloc.start()
+            try:
+                tc.estimate(pi, menu, orderings, k, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        raw = 256 * 6 * 6 * 128 * 8
+        assert peaks[1] < 12.5 * 2**20, peaks
+        assert peaks[1] - peaks[0] < 0.1 * raw, peaks

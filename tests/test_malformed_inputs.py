@@ -112,6 +112,49 @@ def test_malformed_input_raises_typed_error(build, value, error):
         build(value)
 
 
+# (site, builder putting the value in a nested list, error class)
+NUMBER_SITES = [
+    ("ChoiceDataset.pi", lambda x: tc.ChoiceDataset(pi=[[x, 0.5], [0.5, 0.5]]), ValidationError),
+    ("AttentionRule.u",
+     lambda x: tc.AttentionRule(u=[[x] + [0.0] * (ENUM3.d_c - 1)], set_index=ENUM3),
+     ValidationError),
+    ("PreferenceDistribution.p", lambda x: tc.PreferenceDistribution([x, 0.5]), ValidationError),
+    ("GammaSchedule.gamma", lambda x: tc.GammaSchedule([[x, 0.2], [1.0, 0.4]]), ValidationError),
+    ("SearchOrderDistribution.probs",
+     lambda x: tc.SearchOrderDistribution(((0, 1), (1, 0)), (x, 0.5)), ValidationError),
+    ("gen_satisficing utilities",
+     lambda x: tc.gen_satisficing(MENU3, [x, 2.0, 1.0], [tc.FixedThreshold(1.5)],
+                                  tc.SearchOrderDistribution.uniform(3), 10, seed=0),
+     ValidationError),
+    ("diffusion_schedule drifts", lambda x: _diffusion(drift=x), ConfigurationError),
+    ("diffusion_schedule thresholds", lambda x: _diffusion(threshold=x), ConfigurationError),
+    ("NormalThreshold.mean", lambda x: tc.NormalThreshold(x, 1.0), ValidationError),
+    ("FixedThreshold.value", tc.FixedThreshold, ValidationError),
+]
+
+
+@pytest.mark.parametrize(
+    "build, value, error",
+    [
+        pytest.param(build, value, error, id=f"{site}={value!r}")
+        for site, build, error in NUMBER_SITES
+        for value in ["x", "0.5", None, [0.5]]
+    ] + [
+        pytest.param(lambda x: tc.NormalThreshold(x, 1.0), True, ValidationError,
+                     id="NormalThreshold.mean=True"),
+        pytest.param(tc.FixedThreshold, True, ValidationError, id="FixedThreshold.value=True"),
+    ],
+)
+def test_non_number_raises_typed_error(build, value, error):
+    """A string, None or list in a number's place names the field, and so does a lone bool.
+
+    ``float("0.5")`` and ``np.asarray(..., dtype=float)`` took ``"0.5"``,
+    the latter made None a NaN, and ``"x"`` ended in a bare ``ValueError``.
+    """
+    with pytest.raises(error, match=r"must be (a number|numbers), got"):
+        build(value)
+
+
 @pytest.mark.parametrize(
     "build",
     [

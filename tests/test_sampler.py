@@ -14,6 +14,7 @@ from timedchoice.sampler import (
     GAMMA_FLOOR,
     MAX_DIRECTION_RETRIES,
     _child_states,
+    _draw_child,
     _draw_rules,
     _hashed_seed,
     _initial_states,
@@ -430,11 +431,33 @@ class TestLockstepPool:
             alone = _reference_rule(menu, orderings, replace(config, seed=child))
             np.testing.assert_array_equal(rule, alone)
 
+    def test_slabs_and_child_redraws_give_the_pool(self, menu6, orderings6):
+        """Rules drawn a slab at a time, or alone by index, equal the whole pool's."""
+        enum = tc.enumerate_sets(menu6, outside_mode=True)
+        d_pref = orderings6.d_pref
+        config = tc.SamplerConfig(d_t=6, seed=0, outside_mode=True)
+        pool = tc.sample_attention_rules(menu6, orderings6, config, 150)
+        root = np.random.SeedSequence(0)
+        got, starts = np.empty_like(pool), []
+
+        def sink(a, rules):
+            starts.append(a)
+            got[a : a + len(rules)] = rules
+
+        slab = np.empty((64, 6, d_pref, enum.d_c))  # one 64-rule block a slab
+        _draw_rules(enum, d_pref, config, _child_states(root, 0, 150), slab, sink=sink)
+        assert starts == [0, 64, 128]
+        np.testing.assert_array_equal(got, pool)
+        for i in (0, 77, 149):
+            np.testing.assert_array_equal(_draw_child(enum, d_pref, config, root, i), pool[i])
+
     def test_chunk_draw_memory_is_bounded(self, menu6, orderings6):
         """Temporaries stay per block: no (CHUNK * d_pref, d_c, d_c) array.
 
-        Measured peak 8.3 MB besides the caller's 9.4 MB buffer; stepping
-        the whole chunk as one stack peaks at 160 MB.
+        Measured peak 9.3 MB besides the caller's 9.4 MB buffer, 7.1 MB of
+        it the fallback's workspace, allocated once per call (8.3 MB when
+        each step allocated its own); stepping the whole chunk as one stack
+        peaks at 160 MB.
         """
         enum = tc.enumerate_sets(menu6, outside_mode=True)
         config = tc.SamplerConfig(d_t=6, seed=0, outside_mode=True)

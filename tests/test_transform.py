@@ -219,6 +219,14 @@ class TestDesignMatrix:
         )
         for k, rule in enumerate(rules):
             np.testing.assert_array_equal(batch[k], tc.design_matrix(rule, transform))
+        # Written into a slice of a larger stack, as the estimator stacks slabs.
+        stack = np.zeros((7, 3 * 3, 6))
+        got = design_matrix_batch(
+            np.stack([r.blocks() for r in rules]), transform, out=stack[1:6]
+        )
+        assert np.shares_memory(got, stack)
+        np.testing.assert_array_equal(stack[1:6], batch)
+        assert not stack[0].any() and not stack[6].any()
 
 
 class TestConditionalChoiceMatrix:

@@ -24,6 +24,10 @@ Runs:
 * ``estimate_K3000_no_outside``: ``estimate`` at K = 3,000 on the bundled
   experiment with every nonempty set enumerated, so every rule starts from
   a uniform draw on the simplex.
+* ``estimate_8items``: ``estimate`` at K = 300 on an 8-item menu in outside
+  mode (128 sets), 6 fixed orderings and 6 periods, on fixed-seed random
+  data: at this size a pool is drawn in lockstep blocks of 4 rules and
+  slabs of 84, so the winner's rule is drawn again by index.
 * ``kmeans_sizes``: ``kmeans_1d`` at k = 2, ..., 6 on lognormal stopping
   times rounded to 1 ms, with 60, 586, 2,774 and 12,746 distinct values
   (``KMEANS_SIZES`` draws); each cluster is hashed in order.
@@ -105,6 +109,24 @@ def no_outside_digest(tc) -> str:
     }])
 
 
+def estimate_8items_digest(tc) -> str:
+    rng = np.random.default_rng(8)
+    menu = tc.Menu(items=tuple("abcdefgh"), outside_index=7)
+    orderings = tc.OrderingSet(
+        tuple(tc.PreferenceOrdering(tuple(rng.permutation(8).tolist())) for _ in range(6))
+    )
+    pi = tc.ChoiceDataset(pi=rng.dirichlet(np.ones(8), size=6))
+    sampler = tc.SamplerConfig(d_t=6, seed=0, outside_mode=True)
+    est = tc.estimate(pi, menu, orderings, 300, sampler)
+    return digest([{
+        "best_distance": est.best_distance,
+        "best_index": est.best_index,
+        "best_p": est.best_p.p,
+        "per_sim_distances": est.per_sim_distances,
+        "best_rule": est.best_rule.u,
+    }])
+
+
 #: Draws per ``kmeans_sizes`` input, and the distinct times they give.
 KMEANS_SIZES = {60: 60, 600: 586, 3_000: 2_774, 20_000: 12_746}
 
@@ -173,6 +195,7 @@ def main(argv=None) -> int:
         ),
         "api_K3000": partial(api_digest, tc),
         "estimate_K3000_no_outside": partial(no_outside_digest, tc),
+        "estimate_8items": partial(estimate_8items_digest, tc),
         "kmeans_sizes": partial(kmeans_digest, tc),
         "solver_stress": solver_stress_digest,
     }
