@@ -77,19 +77,27 @@ def _check_probabilities(table: NDArray, what: str, sums: bool = True) -> None:
 def _as_floats(value, what: str, *, scalar: bool = False, error=ValidationError) -> NDArray:
     """``value`` as a new float64 array (0-d if ``scalar``), or ``error`` naming ``what``.
 
-    Numbers and nested lists of them convert.  A string, bool, None or
-    ragged list raises: ``float`` would parse ``"1.5"``, and
-    ``np.asarray(..., dtype=float)`` would make None a NaN or stop with a
-    bare ``ValueError``.  (A bool inside a list of floats is read as a
-    number by numpy.)  Range and finiteness are left to the caller's checks.
+    Numbers and nested lists of them convert.  A string, None, ragged list
+    or bool, alone or anywhere in a list, raises: ``float`` would parse
+    ``"1.5"``, ``np.asarray(..., dtype=float)`` would make None a NaN or stop
+    with a bare ``ValueError``, and numpy reads ``[True, 0.0]`` as numbers.
+    An array is judged by its dtype alone.  Range and finiteness are left to
+    the caller's checks.
     """
     try:
         a = np.asarray(value)
     except ValueError:  # a ragged list
         a = None
-    if a is None or a.dtype.kind not in "iuf" or (scalar and a.ndim):
+    if a is None or a.dtype.kind not in "iuf" or (scalar and a.ndim) or _holds_bool(value):
         raise error(f"{what} must be {'a number' if scalar else 'numbers'}, got {value!r}")
     return a.astype(np.float64)
+
+
+def _holds_bool(value) -> bool:
+    """Whether ``value`` or an entry of its nested lists and tuples is a bool or a bool array."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool) or getattr(value, "dtype", None) == bool
 
 
 def _as_readonly(a, what: str) -> NDArray:

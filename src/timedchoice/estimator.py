@@ -31,10 +31,10 @@ from .core import (
 from .errors import SolverError, ValidationError
 from .sampler import (
     SamplerConfig,
+    _Workspace,
     _child_states,
     _draw_child,
     _draw_rules,
-    _pool_workspace,
     _seed_sequence,
     _slab_rules,
 )
@@ -163,21 +163,19 @@ def _score_pool(
     objectives = np.full(n, np.inf)
     slab = np.empty((min(k, CHUNK, _slab_rules(d_t, d_pref, enum.d_c)), d_t, d_pref, enum.d_c))
     design = np.empty((min(n, CHUNK), b.size, d_pref))
-    workspace = _pool_workspace(d_pref, enum.d_c, k)
+    workspace = _Workspace(d_pref, enum.d_c, k)
     held = 0  # the pool index of the slab's first rule
-
-    def score(a, rules):
-        nonlocal held
-        held = start + a
-        design_matrix_batch(rules, transform, out=ms[a : a + len(rules)])
-
     best_obj, best_index, best_p, best_blocks = np.inf, -1, None, None
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
         ms = design[: stop - start]
         drawn = max(0, min(stop, k) - start)
         states = _child_states(root, root.n_children_spawned + start, drawn)
-        _draw_rules(enum, d_pref, sampler_config, states, slab, sink=score, workspace=workspace)
+        for a in range(0, drawn, len(slab)):
+            m = min(len(slab), drawn - a)
+            _draw_rules(enum, d_pref, sampler_config, states[a : a + m], slab[:m], workspace)
+            design_matrix_batch(slab[:m], transform, out=ms[a : a + m])
+            held = start + a
         if drawn < len(ms):
             extras = [rule.blocks() for rule in extra_rules[start + drawn - k : stop - k]]
             design_matrix_batch(np.stack(extras), transform, out=ms[drawn:])

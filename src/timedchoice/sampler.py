@@ -70,10 +70,6 @@ FALLBACK_MAX_TARGETS = 3
 _BLOCK_RULES = 256
 _BLOCK_CELLS = 64 * 6 * 32 * 32
 
-#: :func:`sample_attention_rules` hashes child seeds this many at a time, so
-#: the hash's temporaries (about 90 bytes a rule) do not grow with the pool.
-_STATE_ROWS = 1024
-
 
 def _block_rules(d_pref: int, d_c: int) -> int:
     """Rules per lockstep block (see ``_BLOCK_RULES``)."""
@@ -92,16 +88,17 @@ def _slab_rules(d_t: int, d_pref: int, d_c: int) -> int:
 
 
 class _Workspace:
-    """Fallback buffers that every step of one pool reuses (see :func:`_superset_transfer`).
+    """Fallback buffers for one block's rows, reused by every step of a pool of ``rules``.
 
-    Drawing into them instead of fresh arrays keeps a pool's steps from
-    allocating, and so faulting in, megabytes per step.  They are allocated
-    on first use, so a pool that never takes the fallback allocates none
-    (criterion 08's 3-item pools took it in none of ten ``montecarlo``
-    tasks).
+    See :func:`_superset_transfer`.  Drawing into them instead of fresh arrays
+    keeps a pool's steps from allocating, and so faulting in, megabytes per
+    step.  They are allocated on first use, so a pool that never takes the
+    fallback allocates none (criterion 08's 3-item pools took it in none of
+    ten ``montecarlo`` tasks).
     """
 
-    def __init__(self, rows: int, d_c: int):
+    def __init__(self, d_pref: int, d_c: int, rules: int):
+        rows = min(_block_rules(d_pref, d_c), rules) * d_pref
         self.piece = max(1, min(rows, _BLOCK_CELLS // (d_c * d_c)))
         self.d_c = d_c
         self._buffers = None
@@ -123,11 +120,6 @@ class _Workspace:
                 np.empty((piece * d_c, d_c), dtype=bool),
             )
         return self._buffers
-
-
-def _pool_workspace(d_pref: int, d_c: int, rules: int) -> _Workspace:
-    """A workspace for every step of a pool of ``rules``: one block's rows at most."""
-    return _Workspace(min(_block_rules(d_pref, d_c), rules) * d_pref, d_c)
 
 
 @dataclass(frozen=True)
@@ -186,7 +178,7 @@ def _runs(owner, rngs):
     return zip([rngs[i] for i in owner[starts].tolist()], starts, [*starts[1:], owner.size])
 
 
-def _superset_transfer(sub, enum, runs, workspace=None):
+def _superset_transfer(sub, enum, runs, workspace):
     """Guaranteed-feasible directions: spread mass onto strict supersets.
 
     Shifting probability from a set onto its strict supersets can only
@@ -212,14 +204,11 @@ def _superset_transfer(sub, enum, runs, workspace=None):
     many sets never holds all of its draw at once.
 
     A piece is drawn into ``workspace`` (a :class:`_Workspace`, which sets
-    the piece size), which the caller keeps for a whole pool; without one, a
-    workspace for ``sub`` is made here.  Piece size does not change the
-    result.
+    the piece size), which the caller keeps for a whole pool.  Piece size
+    does not change the result.
     """
     q, d_c = sub.shape
     runs = list(runs)
-    if workspace is None:
-        workspace = _Workspace(q, d_c)
     piece = workspace.piece
     weights, w_rows, targets_rows, mask_rows = workspace.buffers()
     shares = np.empty((q, d_c))
@@ -325,7 +314,7 @@ def _draw_directions(states, psi, enum):
     return xi, gmax
 
 
-def _step_rows(states, enum, rngs, workspace=None):
+def _step_rows(states, enum, rngs, workspace):
     """Advance a block of rules one period in lockstep.
 
     ``states`` is ``(n, d_pref, d_c)``: rule i's rows, stepped on generator
@@ -513,8 +502,8 @@ def _hashed_seed() -> type:
     return HashedSeed
 
 
-def _draw_rules(enum, d_pref, config, states, out, *, sink=None, workspace=None):
-    """Draw rule ``i`` of ``states`` into ``out``, ``(m, d_t, d_pref, d_c)``.
+def _draw_rules(enum, d_pref, config, states, out, workspace=None):
+    """Draw rule ``i`` of ``states`` into ``out[i]``, ``out`` being ``(n, d_t, d_pref, d_c)``.
 
     ``states`` is ``(n, 4)`` ``uint64``: row i is ``generate_state(4,
     np.uint64)`` of rule i's seed (see :func:`_child_states`), and rule i runs
@@ -525,12 +514,6 @@ def _draw_rules(enum, d_pref, config, states, out, *, sink=None, workspace=None)
     ``_BLOCK_RULES`` rules and at most ``_BLOCK_CELLS / (d_pref d_c^2)``, so a
     block's fallback draws fit in one piece (see :func:`_superset_transfer`).
 
-    Without ``sink``, ``out`` holds all ``n`` rules (``m = n``).  With it,
-    ``out`` is a slab of ``m`` rules, ideally whole blocks (see
-    :func:`_slab_rules`): rules ``a, ..., a + m - 1`` are drawn into it and
-    handed on as ``sink(a, out[:m])``, then the next ``m`` overwrite them,
-    so a pool never holds more than one slab of raw rows.
-
     ``workspace`` (a :class:`_Workspace`) holds the fallback's buffers; a
     pool drawn in several calls passes the same one to each.  Without it,
     one is allocated for this call.
@@ -540,25 +523,20 @@ def _draw_rules(enum, d_pref, config, states, out, *, sink=None, workspace=None)
         raise ValidationError(f"states must be (n, 4), got {states.shape}")
     block = _block_rules(d_pref, enum.d_c)
     if workspace is None:
-        workspace = _pool_workspace(d_pref, enum.d_c, len(states))
-    slab = max(1, len(out) if sink is not None else len(states))
+        workspace = _Workspace(d_pref, enum.d_c, len(states))
     hashed_seed = _hashed_seed()
-    for s in range(0, len(states), slab):
-        held = out[: min(slab, len(states) - s)]
-        for a in range(0, len(held), block):
-            rngs = [
-                np.random.Generator(np.random.PCG64(hashed_seed(words)))
-                for words in states[s + a : s + min(a + block, len(held))]
-            ]
-            rules = held[a : a + len(rngs)]
-            rules[:, 0] = rows = _initial_states(enum, config, d_pref, rngs)
-            for t in range(1, config.d_t):
-                rules[:, t] = rows = _step_rows(rows, enum, rngs, workspace)
-        if sink is not None:
-            sink(s, held)
+    for a in range(0, len(states), block):
+        rngs = [
+            np.random.Generator(np.random.PCG64(hashed_seed(words)))
+            for words in states[a : a + block]
+        ]
+        rules = out[a : a + len(rngs)]
+        rules[:, 0] = rows = _initial_states(enum, config, d_pref, rngs)
+        for t in range(1, config.d_t):
+            rules[:, t] = rows = _step_rows(rows, enum, rngs, workspace)
 
 
-def _draw_child(enum, d_pref, config, root, i, workspace=None) -> NDArray[np.float64]:
+def _draw_child(enum, d_pref, config, root, i, workspace) -> NDArray[np.float64]:
     """Rule ``i`` of the pool drawn on child streams of ``root``, as ``(d_t, d_pref, d_c)``.
 
     The same bytes as ``[i]`` of :func:`sample_attention_rules` for a seed
@@ -568,7 +546,7 @@ def _draw_child(enum, d_pref, config, root, i, workspace=None) -> NDArray[np.flo
     """
     blocks = np.empty((1, config.d_t, d_pref, enum.d_c))
     states = _child_states(root, root.n_children_spawned + i, 1)
-    _draw_rules(enum, d_pref, config, states, blocks, workspace=workspace)
+    _draw_rules(enum, d_pref, config, states, blocks, workspace)
     return blocks[0]
 
 
@@ -609,12 +587,11 @@ def sample_attention_rules(
     pool = np.empty((count, config.d_t, orderings.d_pref, enum.d_c))
     root = _seed_sequence(config.seed)
     d_pref = orderings.d_pref
-    workspace = _pool_workspace(d_pref, enum.d_c, count)
-    for start in range(0, count, _STATE_ROWS):
-        states = _child_states(
-            root, root.n_children_spawned + start, min(_STATE_ROWS, count - start)
-        )
-        _draw_rules(
-            enum, d_pref, config, states, pool[start : start + len(states)], workspace=workspace
-        )
+    workspace = _Workspace(d_pref, enum.d_c, count)
+    # Seeds are hashed a slab at a time, so the hash's temporaries (about 90
+    # bytes a rule) do not grow with the pool.
+    piece = _slab_rules(config.d_t, d_pref, enum.d_c)
+    for start in range(0, count, piece):
+        states = _child_states(root, root.n_children_spawned + start, min(piece, count - start))
+        _draw_rules(enum, d_pref, config, states, pool[start : start + len(states)], workspace)
     return pool

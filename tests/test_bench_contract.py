@@ -3,7 +3,7 @@
 ``bench/tracing.py`` wraps package functions by module and attribute name,
 and reads the solver's default KKT tolerance from its signature, so a
 rename or a dropped parameter breaks ``bench/run.py --trace 1`` runs.  The
-pool draw is a plain function, so a wrapped one times every chunk's draw.
+pool draw is a plain function, so a wrapped one times every slab's draw.
 """
 
 import importlib
@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import timedchoice as tc
-from timedchoice import estimator, solvers
+from timedchoice import estimator, sampler, solvers
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -56,3 +56,38 @@ def test_pool_draw_is_traced_once_per_chunk(monkeypatch):
     spans = [s for s in tracer.spans if s.name == "sampler.draw"]
     assert [s.attrs["rules"] for s in spans] == [4, 4, 2]
     assert all(s.duration > 0 for s in spans)
+
+
+def test_pool_draw_is_traced_once_per_slab(monkeypatch):
+    """Chunks of 4 rules drawn in slabs of 2: one span per slab, none for the re-draw."""
+    menu = tc.Menu(items=("a", "b", "c"))
+    orderings = tc.all_orderings(3)
+    # 6 types over 7 sets: two rules' fallback cells make blocks and slabs of 2.
+    monkeypatch.setattr(sampler, "_BLOCK_CELLS", 2 * 6 * 7 * 7)
+    assert sampler._slab_rules(4, 6, 7) == 2
+    config = tc.SamplerConfig(d_t=4, seed=1, outside_mode=False)
+    transform = tc.build_choice_transform(menu, tc.enumerate_sets(menu), orderings)
+    truth = tc.sample_attention_rules(menu, orderings, config, 10)[4]
+    rule = tc.AttentionRule(u=truth.reshape(4, -1), set_index=transform.sets, d_pref=6)
+    pi = tc.predict_choices(rule, transform, tc.PreferenceDistribution.uniform(6))
+    tracer = _tracing().Tracer()
+
+    def count_rules(fn, args, kwargs, result):
+        return {"rules": len(args[3])}  # args: enum, d_pref, config, seeds, out
+
+    counted = tracer.wrap("sampler.draw", estimator._draw_rules, count_rules)
+    monkeypatch.setattr(estimator, "_draw_rules", counted)
+    redrawn, real = [], estimator._draw_child
+
+    def recorded(enum, d_pref, config, root, i, workspace):
+        redrawn.append(i)
+        return real(enum, d_pref, config, root, i, workspace)
+
+    monkeypatch.setattr(estimator, "_draw_child", recorded)
+    monkeypatch.setattr(estimator, "CHUNK", 4)
+    result = tc.estimate(pi, menu, orderings, 10, config)
+    # Rule 4 is in slab [4, 6) of chunk [4, 8): slab [6, 8) overwrote it.
+    assert result.best_index == 4 and redrawn == [4]
+    np.testing.assert_array_equal(result.best_rule.blocks(), truth)
+    spans = [s for s in tracer.spans if s.name == "sampler.draw"]
+    assert [s.attrs["rules"] for s in spans] == [2, 2, 2, 2, 2]

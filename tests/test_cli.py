@@ -161,6 +161,8 @@ class TestGenerateAndSurvive:
             ("diffusion", {"drifts": [0.5, "x"]}, "drifts must be numbers, got [0.5, 'x']"),
             ("diffusion", {"thresholds": [[2.0, 1.5], [1.5]]},
              "saliency thresholds must be numbers, got [[2.0, 1.5], [1.5]]"),
+            # numpy read a bool among floats as a number and wrote a table.
+            ("mm", {"weights": [True, 0.0]}, "preference weights must be numbers, got [True, 0.0]"),
         ],
     )
     def test_malformed_config_is_exit_one(self, tmp_path, capsys, model, change, message):

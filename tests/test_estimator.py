@@ -136,9 +136,8 @@ class TestEstimate:
         config = tc.SamplerConfig(d_t=3, seed=9, outside_mode=False)
         small = tc.estimate(pi, menu3, orderings3, 6, config)
         large = tc.estimate(pi, menu3, orderings3, 24, config)
-        np.testing.assert_allclose(
-            small.per_sim_distances, large.per_sim_distances[:6], atol=1e-12
-        )
+        # The solver's result per problem does not depend on its batch.
+        np.testing.assert_array_equal(small.per_sim_distances, large.per_sim_distances[:6])
         assert large.best_distance <= small.best_distance
 
     def test_injected_truth_wins_and_recovers(self, recovery_setup, menu3, orderings3):
@@ -161,7 +160,7 @@ class TestEstimate:
         # Chunks [0, 4), [4, 8), [8, 9): draws and injected rules share one.
         monkeypatch.setattr(est, "CHUNK", 4)
         split = tc.estimate(pi, menu3, orderings3, 6, config, extra_rules=extras)
-        np.testing.assert_allclose(split.per_sim_distances, whole.per_sim_distances, atol=1e-12)
+        np.testing.assert_array_equal(split.per_sim_distances, whole.per_sim_distances)
         assert split.best_index == whole.best_index == 7
         assert split.best_rule is rule
 

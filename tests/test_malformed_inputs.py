@@ -156,6 +156,21 @@ def test_non_number_raises_typed_error(build, value, error):
 
 
 @pytest.mark.parametrize(
+    "build, value, error",
+    [
+        pytest.param(build, value, error, id=f"{site}={value!r}")
+        # Every site but the two scalar thresholds puts the value in a list.
+        for site, build, error in NUMBER_SITES[:-2]
+        for value in [True, np.True_, False]
+    ],
+)
+def test_bool_in_a_list_raises_typed_error(build, value, error):
+    """numpy reads ``[True, 0.0]`` as numbers: ``PreferenceDistribution`` made it ``[1, 0]``."""
+    with pytest.raises(error, match=r"must be numbers, got"):
+        build(value)
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda x: tc.ChoiceDataset(pi=_cell(x)),

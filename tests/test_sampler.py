@@ -21,6 +21,7 @@ from timedchoice.sampler import (
     _max_step,
     _step_rows,
     _superset_matrix,
+    _Workspace,
 )
 
 
@@ -60,7 +61,7 @@ class TestStep:
         enum = tc.enumerate_sets(menu, outside_mode=True)
         rng = np.random.default_rng(1)
         rows = np.tile(tc.initial_row_outside(menu), (50, 1))
-        stepped = _step_rows(rows[None], enum, [rng])
+        stepped = _step_rows(rows[None], enum, [rng], _Workspace(50, enum.d_c, 1))
         assert np.all(stepped[0, :, 0] <= rows[:, 0] + 1e-12)
 
     def test_long_chain_stays_monotone(self):
@@ -243,7 +244,9 @@ class TestSampleAttentionRules:
     def test_states_hashed_in_pieces_give_the_same_pool(self, menu3, orderings3, monkeypatch):
         config = tc.SamplerConfig(d_t=3, seed=77, outside_mode=False)
         whole = tc.sample_attention_rules(menu3, orderings3, config, 10)
-        monkeypatch.setattr(sampler, "_STATE_ROWS", 4)  # pieces [0, 4), [4, 8), [8, 10)
+        # Blocks of 2 rules, slabs (and so hash pieces) of 4: [0, 4), [4, 8), [8, 10).
+        monkeypatch.setattr(sampler, "_BLOCK_CELLS", 2 * 6 * 7 * 7)
+        assert sampler._slab_rules(3, 6, 7) == 4
         np.testing.assert_array_equal(
             tc.sample_attention_rules(menu3, orderings3, config, 10), whole
         )
@@ -257,7 +260,7 @@ class TestSampleAttentionRules:
             return roots[-1]
 
         monkeypatch.setattr(sampler, "_seed_sequence", recorded)
-        monkeypatch.setattr(sampler, "_STATE_ROWS", 4)
+        monkeypatch.setattr(sampler, "_BLOCK_CELLS", 2 * 6 * 7 * 7)  # slabs of 4 rules
         config = tc.SamplerConfig(d_t=3, seed=None, outside_mode=False)
         pool = tc.sample_attention_rules(menu3, orderings3, config, 10)
         assert len(roots) == 1
@@ -304,10 +307,11 @@ def _chains(init, enum, d_pref, d_t, seeds):
     start row, on ``np.random.default_rng(seed)`` per rule.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
+    workspace = _Workspace(d_pref, enum.d_c, len(rngs))
     states = np.broadcast_to(init, (len(rngs), d_pref, enum.d_c)).copy()
     rows = [states]
     for _ in range(d_t - 1):
-        states = _step_rows(states, enum, rngs)
+        states = _step_rows(states, enum, rngs, workspace)
         rows.append(states)
     return np.stack(rows, axis=1)
 
@@ -438,18 +442,21 @@ class TestLockstepPool:
         config = tc.SamplerConfig(d_t=6, seed=0, outside_mode=True)
         pool = tc.sample_attention_rules(menu6, orderings6, config, 150)
         root = np.random.SeedSequence(0)
+        states = _child_states(root, 0, 150)
+        workspace = _Workspace(d_pref, enum.d_c, 150)
         got, starts = np.empty_like(pool), []
-
-        def sink(a, rules):
-            starts.append(a)
-            got[a : a + len(rules)] = rules
-
         slab = np.empty((64, 6, d_pref, enum.d_c))  # one 64-rule block a slab
-        _draw_rules(enum, d_pref, config, _child_states(root, 0, 150), slab, sink=sink)
+        for a in range(0, 150, len(slab)):
+            m = min(len(slab), 150 - a)
+            _draw_rules(enum, d_pref, config, states[a : a + m], slab[:m], workspace)
+            starts.append(a)
+            got[a : a + m] = slab[:m]
         assert starts == [0, 64, 128]
         np.testing.assert_array_equal(got, pool)
         for i in (0, 77, 149):
-            np.testing.assert_array_equal(_draw_child(enum, d_pref, config, root, i), pool[i])
+            np.testing.assert_array_equal(
+                _draw_child(enum, d_pref, config, root, i, workspace), pool[i]
+            )
 
     def test_chunk_draw_memory_is_bounded(self, menu6, orderings6):
         """Temporaries stay per block: no (CHUNK * d_pref, d_c, d_c) array.
@@ -495,10 +502,18 @@ class TestLockstepPool:
         enum = tc.enumerate_sets(menu6, outside_mode=True)
         states = np.zeros((8, orderings6.d_pref, enum.d_c))
         states[:, :, 0] = 1.0  # every row stuck: 48 fallback rows over 8 rules
-        whole = _step_rows(states, enum, [np.random.default_rng(s) for s in range(8)])
+        d_pref = orderings6.d_pref
+        whole = _step_rows(
+            states, enum, [np.random.default_rng(s) for s in range(8)],
+            _Workspace(d_pref, enum.d_c, 8),
+        )
         monkeypatch.setattr(sampler, "_BLOCK_CELLS", rows_per_piece * enum.d_c**2)
         # Pieces of 5 rows straddle the rules' runs of 6 rows.
-        pieces = _step_rows(states, enum, [np.random.default_rng(s) for s in range(8)])
+        workspace = _Workspace(d_pref, enum.d_c, 8)
+        assert workspace.piece == rows_per_piece
+        pieces = _step_rows(
+            states, enum, [np.random.default_rng(s) for s in range(8)], workspace
+        )
         np.testing.assert_array_equal(whole, pieces)
         config = tc.SamplerConfig(d_t=6, seed=0, outside_mode=True)
         pool = tc.sample_attention_rules(menu6, orderings6, config, 200)
