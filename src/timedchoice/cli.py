@@ -23,6 +23,7 @@ from .core import (
     OrderingSet,
     PreferenceDistribution,
     PreferenceOrdering,
+    _check_seed,
     all_orderings,
 )
 from .errors import SolverError, TimedChoiceError, ValidationError
@@ -66,14 +67,13 @@ def _model_inputs(args) -> tuple[ChoiceDataset, Menu, OrderingSet]:
 
 def _resolve_orderings(spec: str, menu: Menu) -> OrderingSet:
     if spec == "crra":
-        expected = set(experiment_menu().items)
-        if set(menu.items) != expected:
+        exp_menu = experiment_menu()
+        if set(menu.items) != set(exp_menu.items):
             raise ValidationError(
                 "--orderings crra needs the experiment menu columns "
-                f"{sorted(expected)}"
+                f"{sorted(exp_menu.items)}"
             )
         base, _ = crra_ordering_set(include_outside_in_ranking=menu.outside_index is None)
-        exp_menu = experiment_menu()
         return OrderingSet(
             tuple(
                 PreferenceOrdering.from_labels(menu, o.labels(exp_menu))
@@ -146,7 +146,7 @@ def _cmd_test(args) -> int:
     dataset = ChoiceDataset(
         pi=dataset.pi, period_counts=counts, period_labels=dataset.period_labels
     )
-    root = np.random.SeedSequence(args.seed)
+    root = np.random.SeedSequence(_check_seed(args.seed, ValidationError))
     rule_seed, boot_seed = root.spawn(2)
     config = SamplerConfig(
         d_t=dataset.d_t, seed=rule_seed, outside_mode=not args.no_outside
@@ -182,10 +182,12 @@ def _threshold_from_json(doc: dict):
 
 def _cmd_generate(args) -> int:
     cfg = dataio.load_json(args.config)
-    menu = Menu(items=tuple(cfg["items"]))
+    menu = Menu(items=cfg["items"])
     if cfg.get("outside"):
         menu = Menu(items=menu.items, outside_index=menu.index_of(cfg["outside"]))
-    outside_mode = bool(cfg.get("outside_mode", False))
+    outside_mode = cfg.get("outside_mode", False)
+    if not isinstance(outside_mode, bool):
+        raise ValidationError(f"outside_mode must be true or false, got {outside_mode!r}")
 
     if args.model == "satisficing":
         thresholds = [_threshold_from_json(d) for d in cfg["thresholds"]]
@@ -206,13 +208,8 @@ def _cmd_generate(args) -> int:
             seed=cfg.get("seed"),
         )
     else:
-        ordering_specs = cfg.get("orderings")
-        if ordering_specs:
-            orderings = OrderingSet(
-                tuple(
-                    PreferenceOrdering.from_labels(menu, o) for o in ordering_specs
-                )
-            )
+        if cfg.get("orderings"):
+            orderings = dataio.orderings_from_json(cfg, menu)
         else:
             orderings = OrderingSet((PreferenceOrdering(tuple(range(menu.n))),))
         d_pref = orderings.d_pref

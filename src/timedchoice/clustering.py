@@ -212,10 +212,9 @@ def cluster_times(
         edges = tuple((float(cl.min()), float(cl.max())) for cl in clusters)
         centroids = tuple(float(cl.mean()) for cl in clusters)
         # Period of a positive time: the first cluster whose upper edge is at
-        # least the time, the last cluster catching anything above.
+        # least the time.
         upper = np.array([hi for _, hi in edges])
-        period = np.minimum(np.searchsorted(upper, times), len(edges) - 1) + 1
-        assignments = np.where(zero, 0, period)
+        assignments = np.where(zero, 0, np.searchsorted(upper, times) + 1)
         bounds = ((0.0, 0.0),) + edges
 
     d_t = len(bounds)
@@ -225,17 +224,12 @@ def cluster_times(
         .reshape(d_t, menu.n)
         .astype(np.float64)
     )
-    if not allow_empty_first and counts[0] == 0:
-        raise ValidationError("first period is empty")
+    # Only period 0 can be empty (with allow_empty_first).  An empty period
+    # carries no information; give it a uniform row so the dataset stays
+    # row-stochastic, with a zero count marking it.
     empty = counts == 0
-    if empty.any():
-        # An empty period carries no information; give it a uniform row so
-        # the dataset stays row-stochastic, with a zero count marking it.
-        pi[empty] = 1.0 / menu.n
-        with np.errstate(invalid="ignore"):
-            pi[~empty] /= counts[~empty, None]
-    else:
-        pi /= counts[:, None]
+    pi[empty] = 1.0 / menu.n
+    pi[~empty] /= counts[~empty, None]
     labels = ["t=0"] + [f"({lo:g}..{hi:g})" for lo, hi in bounds[1:]]
     clustering = TimeClustering(
         bounds=bounds,

@@ -61,6 +61,23 @@ def _check_count(count, what: str, least: int = 0, *, error=ValidationError) -> 
     return int(count)
 
 
+def _check_seed(seed, error):
+    """``seed`` unchanged if ``SeedSequence`` takes it and it holds no bool; else raise ``error``.
+
+    None and a :class:`~numpy.random.SeedSequence` pass as they are.  A bool
+    is not a seed: ``SeedSequence(True)`` is seed 1.
+    """
+    if seed is None or isinstance(seed, np.random.SeedSequence):
+        return seed
+    try:
+        if not _holds_bool(seed):
+            np.random.SeedSequence(seed)
+            return seed
+    except (TypeError, ValueError):
+        pass
+    raise error(f"seed must be a nonnegative integer or a list of them, got {seed!r}")
+
+
 def _check_probabilities(table: NDArray, what: str, sums: bool = True) -> None:
     """Raise unless every entry of ``table`` lies in [0, 1] and each last-axis slice sums to one.
 
@@ -121,6 +138,10 @@ class Menu:
     outside_index: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.items, (list, tuple)) or not all(
+            isinstance(x, str) for x in self.items
+        ):
+            raise ValidationError(f"menu items must be a list of labels, got {self.items!r}")
         object.__setattr__(self, "items", tuple(self.items))
         if len(self.items) < 2:
             raise ValidationError("a menu needs at least two items")

@@ -21,7 +21,6 @@ variance weight either way); the bundled table uses a placeholder of 25.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from importlib import resources
 
@@ -38,13 +37,18 @@ SCHEMA_VERSION = 1
 # Choice-frequency tables
 # ---------------------------------------------------------------------------
 
-def write_pi_csv(path, pi: ChoiceDataset, menu: Menu) -> None:
+def _write_table(path, header, rows) -> None:
+    """Write a CSV file: the ``header`` row, then ``rows``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["period", *menu.items])
-        for t in range(pi.d_t):
-            label = pi.period_labels[t] if pi.period_labels else str(t + 1)
-            writer.writerow([label, *[repr(float(v)) for v in pi.pi[t]]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_pi_csv(path, pi: ChoiceDataset, menu: Menu) -> None:
+    labels = pi.period_labels or [str(t + 1) for t in range(pi.d_t)]
+    rows = ([label, *[repr(float(v)) for v in row]] for label, row in zip(labels, pi.pi))
+    _write_table(path, ["period", *menu.items], rows)
 
 
 def _read_table(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
@@ -98,11 +102,7 @@ def read_pi_csv(path) -> tuple[ChoiceDataset, Menu]:
 
 
 def write_counts_csv(path, counts) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "count"])
-        for t, c in enumerate(counts, start=1):
-            writer.writerow([t, int(c)])
+    _write_table(path, ["period", "count"], ([t, int(c)] for t, c in enumerate(counts, start=1)))
 
 
 def read_counts_csv(path) -> tuple[int, ...]:
@@ -145,11 +145,8 @@ def write_rule_csv(path, rule, menu: Menu) -> None:
                 menu.items[b] for b in range(menu.n) if mask >> b & 1
             )
             headers.append(f"pref{i}|{members}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", *headers])
-        for t in range(rule.d_t):
-            writer.writerow([t + 1, *[repr(float(v)) for v in rule.u[t]]])
+    rows = ([t, *[repr(float(v)) for v in row]] for t, row in enumerate(rule.u, start=1))
+    _write_table(path, ["period", *headers], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +204,8 @@ def estimation_to_json(result, menu: Menu, orderings: OrderingSet) -> dict:
 
 def write_bootstrap_stats_csv(path, result) -> None:
     """Dump the bootstrap statistic distribution, one replication per row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replication", "statistic"])
-        for l, value in enumerate(result.bootstrap_stats, start=1):
-            writer.writerow([l, repr(float(value))])
+    stats = enumerate(result.bootstrap_stats, start=1)
+    _write_table(path, ["replication", "statistic"], ([l, repr(float(v))] for l, v in stats))
 
 
 def test_to_json(result) -> dict:
@@ -259,24 +253,21 @@ def load_json(path) -> dict:
 # Bundled experiment data
 # ---------------------------------------------------------------------------
 
-def _data_text(name: str) -> str:
-    return resources.files("timedchoice.data").joinpath(name).read_text()
-
-
 def load_experiment_dataset() -> tuple[ChoiceDataset, Menu]:
     """The bundled clustered experiment data, frequencies exact from counts."""
-    text = _data_text("experiment_choice_counts.csv")
-    rows = list(csv.reader(io.StringIO(text)))
-    labels = tuple(rows[0][1:])
+    data = resources.files("timedchoice.data") / "experiment_choice_counts.csv"
+    with resources.as_file(data) as path:
+        header, rows = _read_table(path)
+        counts = np.array([[_number(path, line, v, int) for v in r[1:]] for line, r in rows], float)
+    labels = tuple(header[1:])
     menu = Menu(items=labels, outside_index=labels.index("lO"))
-    counts = np.array([[int(v) for v in r[1:]] for r in rows[1:]], dtype=np.float64)
     totals = counts.sum(axis=1)
     pi = counts / totals[:, None]
     return (
         ChoiceDataset(
             pi=pi,
             period_counts=tuple(int(t) for t in totals),
-            period_labels=tuple(r[0] for r in rows[1:]),
+            period_labels=tuple(r[0] for _, r in rows),
         ),
         menu,
     )

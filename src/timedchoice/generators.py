@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import AttentionRule, ChoiceDataset, Menu, SetEnumeration, enumerate_sets
-from .core import _as_floats, _check_count, _check_probabilities, _check_tol
+from .core import _as_floats, _check_count, _check_probabilities, _check_seed, _check_tol
 from .errors import ConfigurationError, ValidationError
 
 
@@ -308,7 +308,7 @@ def gen_satisficing(
     _check_fosd(threshold_dists)
     d_t = len(threshold_dists)
     enum = enumerate_sets(menu, outside_mode=False)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed, ValidationError))
     orders = np.asarray(search_dist.orders, dtype=np.int64)
     # numpy's choice refuses the 1e-12 below zero that a distribution may have.
     order_p = np.maximum(np.asarray(search_dist.probs, dtype=np.float64), 0.0)

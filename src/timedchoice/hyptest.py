@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import AttentionRule, ChoiceDataset, Menu, OrderingSet, PreferenceDistribution
-from .core import _check_count, _check_tol, enumerate_sets
+from .core import _check_count, _check_seed, _check_tol, enumerate_sets
 from .errors import ConfigurationError, SolverError, ValidationError
 from .estimator import _score_pool
 from .solvers import KKT_TOL, constrained_lstsq_batch, single_solution
@@ -66,6 +66,7 @@ class TestConfig:
             raise ConfigurationError("alpha must lie in (0, 0.5)")
         if self.tau_n is not None:
             _check_tol(self.tau_n, "tau_n", error=ConfigurationError)
+        _check_seed(self.seed, ConfigurationError)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .core import (
     OrderingSet,
     SetEnumeration,
     _check_count,
+    _check_seed,
     enumerate_sets,
     moebius_inverse,
 )
@@ -143,6 +144,7 @@ class SamplerConfig:
     def __post_init__(self):
         d_t = _check_count(self.d_t, "d_t", 1, error=ConfigurationError)
         object.__setattr__(self, "d_t", d_t)
+        _check_seed(self.seed, ConfigurationError)
 
 
 def initial_row_outside(menu: Menu) -> NDArray[np.float64]:
@@ -502,7 +504,7 @@ def _hashed_seed() -> type:
     return HashedSeed
 
 
-def _draw_rules(enum, d_pref, config, states, out, workspace=None):
+def _draw_rules(enum, d_pref, config, states, out, workspace):
     """Draw rule ``i`` of ``states`` into ``out[i]``, ``out`` being ``(n, d_t, d_pref, d_c)``.
 
     ``states`` is ``(n, 4)`` ``uint64``: row i is ``generate_state(4,
@@ -515,15 +517,12 @@ def _draw_rules(enum, d_pref, config, states, out, workspace=None):
     block's fallback draws fit in one piece (see :func:`_superset_transfer`).
 
     ``workspace`` (a :class:`_Workspace`) holds the fallback's buffers; a
-    pool drawn in several calls passes the same one to each.  Without it,
-    one is allocated for this call.
+    pool drawn in several calls passes the same one to each.
     """
     states = np.ascontiguousarray(states, dtype=np.uint64)
     if states.ndim != 2 or states.shape[1] != 4:
         raise ValidationError(f"states must be (n, 4), got {states.shape}")
     block = _block_rules(d_pref, enum.d_c)
-    if workspace is None:
-        workspace = _Workspace(d_pref, enum.d_c, len(states))
     hashed_seed = _hashed_seed()
     for a in range(0, len(states), block):
         rngs = [
@@ -561,12 +560,11 @@ def sample_attention_rule(
     (menu, orderings, config) inputs reproduce the rule bit for bit.
     """
     enum = enumerate_sets(menu, outside_mode=config.outside_mode)
-    blocks = np.empty((1, config.d_t, orderings.d_pref, enum.d_c))
+    d_pref = orderings.d_pref
+    blocks = np.empty((1, config.d_t, d_pref, enum.d_c))
     state = _seed_sequence(config.seed).generate_state(4, np.uint64)[None]
-    _draw_rules(enum, orderings.d_pref, config, state, blocks)
-    return AttentionRule(
-        u=blocks[0].reshape(config.d_t, -1), set_index=enum, d_pref=orderings.d_pref
-    )
+    _draw_rules(enum, d_pref, config, state, blocks, _Workspace(d_pref, enum.d_c, 1))
+    return AttentionRule(u=blocks[0].reshape(config.d_t, -1), set_index=enum, d_pref=d_pref)
 
 
 def sample_attention_rules(

@@ -65,10 +65,6 @@ class ChoiceTransform:
     def d_pref(self) -> int:
         return self.orderings.d_pref
 
-    @property
-    def d_c(self) -> int:
-        return self.sets.d_c
-
     def onehot(self) -> NDArray[np.float64]:
         """(d_pref, d_c, n) indicator tensor: who is chosen from each set."""
         d_pref, d_c = self.best.shape

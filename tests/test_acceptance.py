@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import timedchoice as tc
-from timedchoice.sampler import _draw_rules
+from timedchoice.sampler import _draw_rules, _Workspace
 from timedchoice.transform import design_matrix_batch
 
 
@@ -114,13 +114,14 @@ def test_criterion_04_sampler_validity_bulk():
     # would, in lockstep chunks of 1,000 rules.
     config = tc.SamplerConfig(d_t=6, seed=None, outside_mode=True)
     chunk = np.empty((1_000, 6, orderings.d_pref, enum.d_c))
+    workspace = _Workspace(orderings.d_pref, enum.d_c, len(chunk))
     bad_monotone = bad_rows = 0
     for first in range(0, 10_000, len(chunk)):
         states = np.stack([
             np.random.SeedSequence(seed).generate_state(4, np.uint64)
             for seed in range(first, first + len(chunk))
         ])
-        _draw_rules(enum, orderings.d_pref, config, states, chunk)
+        _draw_rules(enum, orderings.d_pref, config, states, chunk, workspace)
         for seed, blocks in enumerate(chunk, first):
             rule = tc.AttentionRule(
                 u=blocks.reshape(6, -1), set_index=enum, d_pref=orderings.d_pref

@@ -8,6 +8,7 @@ import pytest
 import timedchoice as tc
 from timedchoice import cli, dataio
 from timedchoice.cli import main
+from timedchoice.errors import SolverError
 
 
 def run(args):
@@ -93,6 +94,35 @@ class TestGenerateAndSurvive:
         ) == 0
         assert dataio.read_counts_csv(counts) == (2000, 2000)
 
+    def test_generate_satisficing_explicit_search_orders(self, tmp_path):
+        """``search_orders`` names its orders by label and gives their probabilities."""
+        cfg = {
+            "items": ["x", "y", "z"], "utilities": [1, 3, 2], "n_draws": 400, "seed": 7,
+            "thresholds": [{"type": "fixed", "value": 1.5}, {"type": "fixed", "value": 2.5}],
+            "search_orders": {"orders": [["z", "y", "x"], ["x", "y", "z"]],
+                              "probs": [0.25, 0.75]},
+        }
+        config = tmp_path / "sat.json"
+        config.write_text(json.dumps(cfg))
+        out, rule_out = tmp_path / "pi.csv", tmp_path / "rule.csv"
+        assert run(["generate", "--model", "satisficing", "--config", config, "--out", out,
+                    "--rule-out", rule_out]) == 0
+        menu = tc.Menu(items=("x", "y", "z"))
+        rule, data = tc.gen_satisficing(
+            menu, [1, 3, 2], [tc.FixedThreshold(1.5), tc.FixedThreshold(2.5)],
+            tc.SearchOrderDistribution(((2, 1, 0), (0, 1, 2)), (0.25, 0.75)), 400, seed=7,
+        )
+        dataio.write_pi_csv(tmp_path / "want_pi.csv", data, menu)
+        dataio.write_rule_csv(tmp_path / "want_rule.csv", rule, menu)
+        assert out.read_bytes() == (tmp_path / "want_pi.csv").read_bytes()
+        assert rule_out.read_bytes() == (tmp_path / "want_rule.csv").read_bytes()
+        # Uniform search orders draw other rules from the same seed.
+        uniform = tc.gen_satisficing(
+            menu, [1, 3, 2], [tc.FixedThreshold(1.5), tc.FixedThreshold(2.5)],
+            tc.SearchOrderDistribution.uniform(3), 400, seed=7,
+        )[0]
+        assert not np.array_equal(rule.u, uniform.u)
+
     def test_diffusion_model(self, tmp_path):
         config = tmp_path / "diff.json"
         config.write_text(
@@ -163,6 +193,21 @@ class TestGenerateAndSurvive:
              "saliency thresholds must be numbers, got [[2.0, 1.5], [1.5]]"),
             # numpy read a bool among floats as a number and wrote a table.
             ("mm", {"weights": [True, 0.0]}, "preference weights must be numbers, got [True, 0.0]"),
+            # bool("false") is True, and 1 was read as true.
+            ("mm", {"outside_mode": "false"}, "outside_mode must be true or false, got 'false'"),
+            ("topn", {"outside_mode": 1}, "outside_mode must be true or false, got 1"),
+            # tuple("abc") made three items; 5 ended in a TypeError traceback.
+            ("topn", {"items": "abc"}, "menu items must be a list of labels, got 'abc'"),
+            ("topn", {"items": 5}, "menu items must be a list of labels, got 5"),
+            ("topn", {"items": ["a", "b", 3]},
+             "menu items must be a list of labels, got ['a', 'b', 3]"),
+            # "x" ended in a TypeError, -1 in a ValueError, and true drew seed 1.
+            ("satisficing", {"seed": "x"},
+             "seed must be a nonnegative integer or a list of them, got 'x'"),
+            ("satisficing", {"seed": -1},
+             "seed must be a nonnegative integer or a list of them, got -1"),
+            ("satisficing", {"seed": True},
+             "seed must be a nonnegative integer or a list of them, got True"),
         ],
     )
     def test_malformed_config_is_exit_one(self, tmp_path, capsys, model, change, message):
@@ -287,6 +332,27 @@ class TestEstimateAndTest:
         assert lines[0] == "replication,statistic"
         assert len(lines) == 50
 
+    def test_estimate_reads_orderings_from_a_file(self, tmp_path):
+        """``--orderings FILE.json`` takes the types, in order, from the file."""
+        menu = tc.Menu(items=("a", "b", "c"))
+        pi = tc.ChoiceDataset(pi=np.random.default_rng(2).dirichlet(np.ones(3), size=2))
+        pi_path, orderings_path = tmp_path / "pi.csv", tmp_path / "orderings.json"
+        dataio.write_pi_csv(pi_path, pi, menu)
+        orderings = tc.OrderingSet(
+            (tc.PreferenceOrdering((2, 0, 1)), tc.PreferenceOrdering((1, 2, 0)))
+        )
+        dataio.dump_json(orderings_path, dataio.orderings_to_json(orderings, menu))
+        out = tmp_path / "estimate.json"
+        assert run(["estimate", "--pi", pi_path, "--orderings", orderings_path, "--sims", 30,
+                    "--seed", 4, "--no-outside", "--out", out]) == 0
+        doc = json.loads(out.read_text())
+        assert [e["ordering"] for e in doc["preference_weights"]] == [["c", "a", "b"],
+                                                                      ["b", "c", "a"]]
+        want = tc.estimate(pi, menu, orderings, 30,
+                           tc.SamplerConfig(d_t=2, seed=4, outside_mode=False))
+        assert doc["best_distance"] == want.best_distance
+        assert doc["best_index"] == want.best_index
+
     def test_crra_orderings_need_experiment_menu(self, tmp_path):
         menu = tc.Menu(items=("a", "b"))
         pi = tc.ChoiceDataset(pi=np.array([[0.5, 0.5]]))
@@ -312,6 +378,30 @@ class TestCrraTable:
 class TestExitCodes:
     def test_missing_file_is_exit_one(self, tmp_path):
         assert run(["survive", "--pi", tmp_path / "nope.csv"]) == 1
+
+    def test_solver_error_is_exit_two(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SolverError("no convergence")
+
+        monkeypatch.setattr(cli, "estimate", fail)
+        pi = tmp_path / "pi.csv"
+        pi.write_text("period,a,b\n1,0.5,0.5\n")
+        assert run(["estimate", "--pi", pi, "--no-outside", "--orderings", "full"]) == 2
+        assert capsys.readouterr().err == "numerical failure: no convergence\n"
+
+    @pytest.mark.parametrize("command", ["estimate", "test"])
+    def test_negative_seed_is_exit_one(self, tmp_path, capsys, command):
+        """``SeedSequence(-1)`` ended in a ValueError traceback."""
+        pi = tmp_path / "pi.csv"
+        pi.write_text("period,a,b\n1,0.5,0.5\n2,0.25,0.75\n")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("period,count\n1,50\n2,50\n")
+        extra = ["--counts", counts] if command == "test" else []
+        assert run([command, "--pi", pi, "--no-outside", "--orderings", "full", "--sims", 5,
+                    "--seed", "-1", *extra]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be a nonnegative integer or a list of them, got -1\n"
+        )
 
     @pytest.mark.parametrize(
         "name, text",

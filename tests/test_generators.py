@@ -111,6 +111,21 @@ class TestIndependentConsideration:
                 menu, tc.GammaSchedule(np.array([[0.5, 0.9]])), outside_mode=True
             )
 
+    def test_per_preference_schedule(self):
+        """A ``(d_pref, d_t, n)`` schedule gives each type its own consideration."""
+        menu = tc.Menu(items=("a", "b", "o"), outside_index=2)
+        gamma = np.array([[[0.2, 0.1, 1.0], [0.6, 0.3, 1.0]],
+                          [[0.1, 0.5, 1.0], [0.2, 0.9, 1.0]]])
+        rule = tc.gen_mm(menu, tc.GammaSchedule(gamma), outside_mode=True)
+        assert rule.d_pref == 2
+        for i in range(2):
+            alone = tc.gen_mm(menu, tc.GammaSchedule(gamma[i]), outside_mode=True)
+            np.testing.assert_array_equal(rule.block(i), alone.block(0))
+        assert not np.array_equal(rule.block(0), rule.block(1))
+        assert tc.check_time_monotonicity(rule, tol=1e-12).passed
+        with pytest.raises(ValidationError, match="2 preference layers, need 3"):
+            tc.gen_mm(menu, tc.GammaSchedule(gamma), outside_mode=True, d_pref=3)
+
     def test_schedule_validation(self):
         with pytest.raises(ValidationError):
             tc.GammaSchedule(np.array([[0.5, 0.5], [0.4, 0.6]]))  # decreasing

@@ -5,6 +5,7 @@ import timedchoice as tc
 import timedchoice.estimator as est
 import timedchoice.hyptest as ht
 from timedchoice.errors import ConfigurationError, SolverError, ValidationError
+from timedchoice.solvers import constrained_lstsq_batch
 
 from conftest import random_attention_rule
 
@@ -131,6 +132,24 @@ class TestTestStatistic:
         t0, _, _ = tc.test_statistic(pi, rule, transform, w, 0.0)
         t1, _, _ = tc.test_statistic(pi, rule, transform, w, 0.08)
         assert 0.0 <= t0 <= t1 + 1e-9
+
+    def test_orthant_statistic_is_the_unsummed_minimum(self, setup3):
+        """Without the sum constraint ``p_min`` is the raw minimizer divided by its sum."""
+        _, transform, rule = setup3
+        pi = tc.ChoiceDataset(
+            pi=np.random.default_rng(3).dirichlet(np.ones(3), size=3),
+            period_counts=(70, 90, 60),
+        )
+        w = tc.variance_weights(pi)
+        t_n, p_min, eta = tc.test_statistic(pi, rule, transform, w, 0.06, simplex_sum=False)
+        m = tc.design_matrix(rule, transform)
+        p, obj, _ = constrained_lstsq_batch(
+            m[None], pi.vec(), weights=w.inverse, lower=0.06 / 6, sum_constraint=False
+        )
+        assert abs(p[0].sum() - 1.0) > 1e-3  # the raw minimizer is not a distribution
+        assert t_n == pi.total_count * obj[0]
+        np.testing.assert_array_equal(p_min.p, p[0] / p[0].sum())
+        np.testing.assert_array_equal(eta, m @ p[0])
 
 
 class TestBootstrapTest:

@@ -44,6 +44,8 @@ def _diffusion(sigma=1.0, drift=0.5, threshold=1.0, d_t=2):
 TABLES = [NAN, INF, -INF, 2.5]
 COUNTS = [NAN, 2.5, 2.0, True, np.True_]
 BOUNDS = [NAN, INF, -INF, -1.0]
+# SeedSequence refuses the negatives, strings and floats; it reads True as 1.
+SEEDS = [-1, "x", 1.5, [1, -1], True, np.True_, [1, True]]
 
 # (site, builder of the bad value, values that must fail, error class)
 SITES = [
@@ -96,6 +98,15 @@ SITES = [
     ("NormalThreshold.mean", lambda x: tc.NormalThreshold(x, 1.0), [NAN, INF, -INF],
      ValidationError),
     ("FixedThreshold.value", tc.FixedThreshold, [NAN], ValidationError),
+    # Menu labels: a list or tuple of strings; tuple("abc") made three items.
+    ("Menu.items", lambda x: tc.Menu(items=x), ["abc", 5, None, ["a", 1]], ValidationError),
+    # Seeds: what SeedSequence takes, without bools.
+    ("SamplerConfig.seed", lambda x: tc.SamplerConfig(d_t=2, seed=x), SEEDS, ConfigurationError),
+    ("TestConfig.seed", lambda x: tc.TestConfig(seed=x), SEEDS, ConfigurationError),
+    ("gen_satisficing seed",
+     lambda x: tc.gen_satisficing(MENU3, [3.0, 2.0, 1.0], [tc.FixedThreshold(1.5)],
+                                  tc.SearchOrderDistribution.uniform(3), 10, seed=x),
+     SEEDS, ValidationError),
 ]
 
 
@@ -168,6 +179,16 @@ def test_bool_in_a_list_raises_typed_error(build, value, error):
     """numpy reads ``[True, 0.0]`` as numbers: ``PreferenceDistribution`` made it ``[1, 0]``."""
     with pytest.raises(error, match=r"must be numbers, got"):
         build(value)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [None, 0, 2**70, np.uint64(3), [1, 2], np.array([4, 5]), np.random.SeedSequence(6)],
+    ids=["None", "0", "2**70", "uint64", "list", "array", "SeedSequence"],
+)
+def test_a_valid_seed_passes_unchanged(seed):
+    assert tc.SamplerConfig(d_t=2, seed=seed).seed is seed
+    assert tc.TestConfig(seed=seed).seed is seed
 
 
 @pytest.mark.parametrize(

@@ -417,7 +417,8 @@ class TestLockstepPool:
         )
         enum = tc.enumerate_sets(menu6, outside_mode=True)
         alone = np.empty((1, 6, orderings6.d_pref, enum.d_c))
-        _draw_rules(enum, orderings6.d_pref, config, _seed_states([config.seed]), alone)
+        _draw_rules(enum, orderings6.d_pref, config, _seed_states([config.seed]), alone,
+                    _Workspace(orderings6.d_pref, enum.d_c, 1))
         np.testing.assert_array_equal(rule.blocks(), alone[0])
 
     @pytest.mark.parametrize(
@@ -473,7 +474,8 @@ class TestLockstepPool:
         states = _seed_states(child_seeds(0, CHUNK))
         tracemalloc.start()
         try:
-            _draw_rules(enum, orderings6.d_pref, config, states, out)
+            _draw_rules(enum, orderings6.d_pref, config, states, out,
+                        _Workspace(orderings6.d_pref, enum.d_c, CHUNK))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -627,7 +629,8 @@ class TestChildStates:
         config = tc.SamplerConfig(d_t=2, outside_mode=False)
         out = np.empty((2, 2, orderings3.d_pref, enum.d_c))
         with pytest.raises(ValidationError):
-            _draw_rules(enum, orderings3.d_pref, config, np.zeros((2, 3), np.uint64), out)
+            _draw_rules(enum, orderings3.d_pref, config, np.zeros((2, 3), np.uint64), out,
+                        _Workspace(orderings3.d_pref, enum.d_c, 2))
 
     def test_empty_range(self):
         root = np.random.SeedSequence(1)

@@ -31,6 +31,13 @@ Runs:
 * ``kmeans_sizes``: ``kmeans_1d`` at k = 2, ..., 6 on lognormal stopping
   times rounded to 1 ms, with 60, 586, 2,774 and 12,746 distinct values
   (``KMEANS_SIZES`` draws); each cluster is hashed in order.
+* ``cli_outputs``: the bytes of every file in a temporary directory after
+  ``timedchoice generate`` for each model in ``GENERATE_CONFIGS`` (with
+  ``--rule-out`` and ``--counts-out``), ``crra-table --out`` on the bundled
+  lotteries written by ``lotteries_to_json``, and ``estimate --out`` and
+  ``test --out --boot-stats-out`` (K = 300, L = 49) on the bundled data
+  written by ``write_pi_csv`` and ``write_counts_csv``; each file is hashed
+  by name, inputs included.
 * ``solver_stress``: ``(p, obj, res)`` of ``constrained_lstsq_batch`` on
   fixed-seed random batches of k = 1, 199 and 1,000 problems, in simplex and
   orthant mode, unweighted with ``lower = 0`` and weighted with ``lower > 0``,
@@ -41,7 +48,9 @@ Runs:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -143,6 +152,56 @@ def kmeans_digest(tc) -> str:
     return digest(fps)
 
 
+#: ``timedchoice generate`` configs of the ``cli_outputs`` run, one per model.
+GENERATE_CONFIGS = {
+    "topn": {"items": ["a", "b", "c", "o"], "outside": "o", "outside_mode": True, "periods": 4,
+             "search_order": ["o", "c", "a", "b"],
+             "orderings": [["a", "b", "c", "o"], ["c", "b", "a", "o"]], "weights": [0.3, 0.7]},
+    "mm": {"items": ["a", "b", "o"], "outside": "o", "outside_mode": True,
+           "gamma": [[[0.2, 0.1, 1.0], [0.5, 0.4, 1.0], [0.9, 0.8, 1.0]],
+                     [[0.1, 0.3, 1.0], [0.2, 0.6, 1.0], [0.3, 0.7, 1.0]]],
+           "orderings": [["a", "b", "o"], ["b", "a", "o"]], "weights": [0.25, 0.75]},
+    "satisficing": {"items": ["x", "y", "z"], "utilities": [3, 1, 2], "n_draws": 2_000,
+                    "seed": 3,
+                    "thresholds": [{"type": "normal", "mean": 1.0, "sd": 0.5},
+                                   {"type": "normal", "mean": 2.0, "sd": 0.5}],
+                    "search_orders": {"orders": [["z", "y", "x"], ["x", "y", "z"]],
+                                      "probs": [0.25, 0.75]}},
+    "diffusion": {"items": ["a", "b", "c"], "periods": 3, "drifts": [0.5, 0.2, 0.8],
+                  "sigma": 1.0, "thresholds": [[2.0, 1.5, 2.5], [1.5, 1.0, 2.0], [1.0, 0.5, 1.5]],
+                  "orderings": [["a", "b", "c"], ["b", "c", "a"], ["c", "a", "b"]]},
+}
+
+
+def cli_outputs_digest(tc) -> str:
+    from timedchoice import dataio
+    from timedchoice.cli import main
+
+    with tempfile.TemporaryDirectory() as workdir, contextlib.redirect_stdout(io.StringIO()):
+        d = Path(workdir)
+        commands = []
+        for model, cfg in GENERATE_CONFIGS.items():
+            (d / f"{model}.json").write_text(json.dumps(cfg))
+            commands.append(["generate", "--model", model, "--config", d / f"{model}.json",
+                             "--out", d / f"{model}_pi.csv", "--rule-out", d / f"{model}_rule.csv",
+                             "--counts-out", d / f"{model}_counts.csv"])
+        lotteries = d / "lotteries.json"
+        dataio.dump_json(lotteries, dataio.lotteries_to_json(tc.experiment_lotteries()))
+        commands.append(["crra-table", "--lotteries", lotteries, "--out", d / "crra.json"])
+        pi, menu = tc.load_experiment_dataset()
+        dataio.write_pi_csv(d / "pi.csv", pi, menu)
+        dataio.write_counts_csv(d / "counts.csv", pi.period_counts)
+        commands.append(["estimate", "--pi", d / "pi.csv", "--sims", "300",
+                         "--out", d / "estimate.json"])
+        commands.append(["test", "--pi", d / "pi.csv", "--counts", d / "counts.csv",
+                         "--sims", "300", "--boot", "49", "--seed", "2",
+                         "--out", d / "test.json", "--boot-stats-out", d / "boot.csv"])
+        for args in commands:
+            if main([str(a) for a in args]) != 0:
+                raise RuntimeError(f"timedchoice {args[0]} failed")
+        return digest([{p.name: p.read_text() for p in sorted(d.iterdir())}])
+
+
 #: ``(m, d)`` shapes and batch sizes of the ``solver_stress`` batches.
 STRESS_SHAPES = ((9, 6), (4, 8))
 STRESS_SIZES = (1, 199, 1_000)
@@ -197,6 +256,7 @@ def main(argv=None) -> int:
         "estimate_K3000_no_outside": partial(no_outside_digest, tc),
         "estimate_8items": partial(estimate_8items_digest, tc),
         "kmeans_sizes": partial(kmeans_digest, tc),
+        "cli_outputs": partial(cli_outputs_digest, tc),
         "solver_stress": solver_stress_digest,
     }
     out = {"src": str(args.src.resolve())}
