@@ -172,7 +172,7 @@ def _cmd_test(args) -> int:
 
 
 def _threshold_from_json(doc: dict):
-    kind = doc.get("type", "normal")
+    kind = dataio._check_object(doc, "a threshold").get("type", "normal")
     if kind == "normal":
         return NormalThreshold(doc["mean"], doc["sd"])
     if kind == "fixed":
@@ -242,6 +242,9 @@ def _cmd_generate(args) -> int:
         dataio.write_rule_csv(args.rule_out, rule, menu)
     if args.counts_out and dataset.period_counts:
         dataio.write_counts_csv(args.counts_out, dataset.period_counts)
+    elif args.counts_out:
+        print(f"note: {args.counts_out} not written: the {args.model} model predicts "
+              "frequencies and has no sample sizes", file=sys.stderr)
     print(f"wrote {dataset.d_t}x{menu.n} choice table to {args.out}")
     return 0
 
@@ -365,7 +368,10 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (TimedChoiceError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
+        return 1
+    except (TimedChoiceError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

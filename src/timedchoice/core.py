@@ -228,11 +228,7 @@ class SetEnumeration:
 
     def member_matrix(self) -> NDArray[np.bool_]:
         """Boolean (d_c, n) matrix: entry [j, i] says item i is in set j."""
-        n = self.menu.n
-        out = np.zeros((self.d_c, n), dtype=bool)
-        for j, mask in enumerate(self.masks):
-            for i in range(n):
-                out[j, i] = bool(mask >> i & 1)
+        out = np.array(self.masks)[:, None] >> np.arange(self.menu.n) & 1 == 1
         out.setflags(write=False)
         return out
 
@@ -257,16 +253,10 @@ def enumerate_sets(menu: Menu, outside_mode: bool = False) -> SetEnumeration:
             raise ConfigurationError(
                 "outside mode requires a menu with an outside_index"
             )
-        o = menu.outside_index
-        free = [i for i in range(n) if i != o]
-        masks = []
-        for reduced in range(1 << (n - 1)):
-            mask = 1 << o
-            for b, item in enumerate(free):
-                if reduced >> b & 1:
-                    mask |= 1 << item
-            masks.append(mask)
-        return SetEnumeration(menu, True, tuple(masks))
+        # With the outside bit fixed, ascending masks ascend in the free bits,
+        # so index r is still the reduced lattice index r.
+        o = 1 << menu.outside_index
+        return SetEnumeration(menu, True, tuple(m for m in range(1, 1 << n) if m & o))
     return SetEnumeration(menu, False, tuple(range(1, 1 << n)))
 
 

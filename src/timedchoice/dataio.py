@@ -138,13 +138,8 @@ def read_observations_csv(path):
 
 def write_rule_csv(path, rule, menu: Menu) -> None:
     """One row per period; one column per (preference block, set)."""
-    headers = []
-    for i in range(rule.d_pref):
-        for mask in rule.set_index.masks:
-            members = "+".join(
-                menu.items[b] for b in range(menu.n) if mask >> b & 1
-            )
-            headers.append(f"pref{i}|{members}")
+    sets = ["+".join(s.labels(menu)) for s in rule.set_index.sets()]
+    headers = [f"pref{i}|{members}" for i in range(rule.d_pref) for members in sets]
     rows = ([t, *[repr(float(v)) for v in row]] for t, row in enumerate(rule.u, start=1))
     _write_table(path, ["period", *headers], rows)
 
@@ -181,10 +176,8 @@ def lotteries_to_json(lotteries) -> dict:
 
 
 def lotteries_from_json(doc: dict) -> tuple[Lottery, ...]:
-    return tuple(
-        Lottery(entry["label"], tuple((x, q) for x, q in entry["outcomes"]))
-        for entry in doc["lotteries"]
-    )
+    entries = (_check_object(entry, "a lottery") for entry in doc["lotteries"])
+    return tuple(Lottery(entry["label"], entry["outcomes"]) for entry in entries)
 
 
 def estimation_to_json(result, menu: Menu, orderings: OrderingSet) -> dict:
@@ -244,9 +237,17 @@ def dump_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
+def _check_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object, else a ValidationError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_json(path) -> dict:
+    """The JSON object in ``path``; a document of another shape fails naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        return _check_object(json.load(fh), str(path))
 
 
 # ---------------------------------------------------------------------------

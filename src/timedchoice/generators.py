@@ -100,16 +100,11 @@ def gen_topn(
             "outside mode requires the outside item to be searched first"
         )
     enum = enumerate_sets(menu, outside_mode=outside_mode)
-    u = np.zeros((d_t, d_pref * enum.d_c))
+    prefixes = np.cumsum(1 << np.array(order))  # the mask of each search depth
+    u = np.zeros((d_t, d_pref, enum.d_c))
     for t in range(d_t):
-        depth = min(t + 1, menu.n)
-        mask = 0
-        for item in order[:depth]:
-            mask |= 1 << item
-        j = enum.index_of(mask)
-        for i in range(d_pref):
-            u[t, i * enum.d_c + j] = 1.0
-    return AttentionRule(u=u, set_index=enum, d_pref=d_pref)
+        u[t, :, enum.index_of(prefixes[min(t, menu.n - 1)])] = 1.0
+    return AttentionRule(u=u.reshape(d_t, -1), set_index=enum, d_pref=d_pref)
 
 
 def gen_mm(

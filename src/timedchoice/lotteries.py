@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Menu, OrderingSet, PreferenceOrdering, _check_probabilities, _check_tol
+from .core import Menu, OrderingSet, PreferenceOrdering
+from .core import _as_floats, _check_probabilities, _check_tol
 from .errors import CutoffTieError, ValidationError
 
 
@@ -31,12 +32,17 @@ class Lottery:
     outcomes: tuple[tuple[float, float], ...]  # (payoff, probability)
 
     def __post_init__(self):
-        outs = tuple((float(x), float(q)) for x, q in self.outcomes)
-        object.__setattr__(self, "outcomes", outs)
-        if not outs:
-            raise ValidationError("a lottery needs at least one outcome")
-        _check_tol(np.array([x for x, _ in outs]), "payoffs")
-        _check_probabilities(np.array([q for _, q in outs]), "outcome probabilities")
+        if not isinstance(self.label, str):
+            raise ValidationError(f"a lottery label must be a string, got {self.label!r}")
+        outs = _as_floats(self.outcomes, "lottery outcomes")
+        if outs.ndim != 2 or outs.shape[1] != 2 or not outs.size:
+            raise ValidationError(
+                f"a lottery needs (payoff, probability) pairs, got {self.outcomes!r}"
+            )
+        _check_tol(outs[:, 0], "payoffs")
+        _check_probabilities(outs[:, 1], "outcome probabilities")
+        # Python floats: utility_key sums over them at every grid point.
+        object.__setattr__(self, "outcomes", tuple(map(tuple, outs.tolist())))
 
     @property
     def expectation(self) -> float:

@@ -60,6 +60,22 @@ def brute_force_best(ordering: tc.PreferenceOrdering, mask: int) -> int:
     return min(members, key=ordering.position)
 
 
+def _membership_cases():
+    """(menu, outside_mode) on 2-8 items: no outside item, and one first, in the middle and last."""
+    cases = []
+    for n in range(2, 9):
+        items = tuple("abcdefgh"[:n])
+        cases.append(pytest.param(tc.Menu(items=items), False, id=f"{n}-items"))
+        for o in sorted({0, n // 2, n - 1}):
+            menu = tc.Menu(items=items, outside_index=o)
+            cases.append(pytest.param(menu, True, id=f"{n}-items-outside-{o}"))
+    return cases
+
+
+#: Menus on which each membership computation is compared with a bit-by-bit loop.
+MEMBERSHIP_CASES = _membership_cases()
+
+
 def random_attention_rule(enum, d_pref, d_t, rng) -> tc.AttentionRule:
     """A random (not necessarily monotone) valid attention rule."""
     u = rng.dirichlet(np.ones(enum.d_c), size=(d_t, d_pref))

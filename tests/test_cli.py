@@ -228,6 +228,26 @@ class TestGenerateAndSurvive:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("model", ["topn", "mm", "diffusion"])
+    def test_counts_out_without_sample_sizes_says_so(self, tmp_path, capsys, model):
+        """These models predict frequencies: ``--counts-out`` wrote nothing and said nothing."""
+        cfg = {
+            "topn": {"items": ["a", "b"], "periods": 2, "search_order": ["a", "b"]},
+            "mm": {"items": ["a", "b"], "gamma": [[0.2, 0.3], [0.5, 0.6]]},
+            "diffusion": {"items": ["a", "b"], "periods": 2, "drifts": [0.5, 0.2],
+                          "sigma": 1.0, "thresholds": [[2.0, 1.5], [1.5, 1.0]]},
+        }[model]
+        config, out, counts = tmp_path / "cfg.json", tmp_path / "pi.csv", tmp_path / "c.csv"
+        config.write_text(json.dumps(cfg))
+        assert run(["generate", "--model", model, "--config", config, "--out", out,
+                    "--counts-out", counts]) == 0
+        assert capsys.readouterr().err == (
+            f"note: {counts} not written: the {model} model predicts frequencies and has "
+            "no sample sizes\n"
+        )
+        assert out.exists() and not counts.exists()
+
+
 class TestCluster:
     def test_cluster_subcommand(self, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -352,6 +372,22 @@ class TestEstimateAndTest:
                            tc.SamplerConfig(d_t=2, seed=4, outside_mode=False))
         assert doc["best_distance"] == want.best_distance
         assert doc["best_index"] == want.best_index
+
+    @pytest.mark.parametrize(
+        "items, orderings, message",
+        [
+            ("abc", "crra", "--orderings crra needs the experiment menu columns"),
+            ("abcdefg", "full", "--orderings full is capped at 6 items"),
+        ],
+    )
+    def test_orderings_on_the_wrong_menu_are_exit_one(
+        self, tmp_path, capsys, items, orderings, message
+    ):
+        pi = tmp_path / "pi.csv"
+        dataio.write_pi_csv(pi, tc.ChoiceDataset(pi=np.full((2, len(items)), 1 / len(items))),
+                            tc.Menu(items=tuple(items)))
+        assert run(["estimate", "--pi", pi, "--no-outside", "--orderings", orderings]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_crra_orderings_need_experiment_menu(self, tmp_path):
         menu = tc.Menu(items=("a", "b"))
@@ -503,6 +539,58 @@ class TestExitCodes:
         assert run(
             ["generate", "--model", "topn", "--config", bad, "--out", tmp_path / "x.csv"]
         ) == 1
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            # A document that is not an object ended in a TypeError traceback.
+            ("mm", "x", "{path} must be a JSON object, got str"),
+            ("mm", [1], "{path} must be a JSON object, got list"),
+            ("crra-table", "x", "{path} must be a JSON object, got str"),
+            ("crra-table", [1], "{path} must be a JSON object, got list"),
+            ("estimate", [["a", "b"]], "{path} must be a JSON object, got list"),
+            # So did an entry that is not an object.
+            ("crra-table", {"lotteries": [5]}, "a lottery must be a JSON object, got int"),
+            ("satisficing", {"thresholds": [5]}, "a threshold must be a JSON object, got int"),
+            # A missing key was printed alone, as "error: 'items'".
+            ("mm", {"gamma": [[0.2, 0.3]]}, "missing key 'items'"),
+            ("satisficing", {"thresholds": [{"mean": 1.0}]}, "missing key 'sd'"),
+            ("satisficing", {"thresholds": [{"type": "uniform"}]},
+             "unknown threshold type 'uniform'"),
+            ("satisficing", {"search_orders": {"orders": [["x", "y"]]}}, "missing key 'probs'"),
+            ("crra-table", {"lotteries": [{"label": "a"}]}, "missing key 'outcomes'"),
+            ("estimate", {"items": ["a", "b"]}, "missing key 'orderings'"),
+            # Outcomes of the wrong shape ended in tracebacks; strings and bools were numbers.
+            ("crra-table", {"lotteries": [{"label": "a", "outcomes": [[50, 0.5, 1]]}]},
+             "a lottery needs (payoff, probability) pairs, got [[50, 0.5, 1]]"),
+            ("crra-table", {"lotteries": [{"label": "a", "outcomes": [[50]]}]},
+             "a lottery needs (payoff, probability) pairs, got [[50]]"),
+            ("crra-table", {"lotteries": [{"label": "a", "outcomes": [[None, 1.0]]}]},
+             "lottery outcomes must be numbers, got [[None, 1.0]]"),
+            ("crra-table", {"lotteries": [{"label": "a", "outcomes": [["50", 0.5], [0, 0.5]]}]},
+             "lottery outcomes must be numbers, got [['50', 0.5], [0, 0.5]]"),
+            ("crra-table", {"lotteries": [{"label": "a", "outcomes": [[True, 0.5], [0, 0.5]]}]},
+             "lottery outcomes must be numbers, got [[True, 0.5], [0, 0.5]]"),
+            ("crra-table", {"lotteries": [{"label": 5, "outcomes": [[50, 1.0]]}]},
+             "a lottery label must be a string, got 5"),
+        ],
+    )
+    def test_json_of_the_wrong_shape_is_exit_one(self, tmp_path, capsys, command, doc, message):
+        path = tmp_path / "doc.json"
+        satisficing = {"items": ["x", "y"], "utilities": [1, 2], "n_draws": 10,
+                       "thresholds": [{"type": "fixed", "value": 1.5}]}
+        path.write_text(json.dumps({**satisficing, **doc} if command == "satisficing" else doc))
+        pi = tmp_path / "pi.csv"
+        pi.write_text("period,a,b\n1,0.5,0.5\n")
+        args = {
+            "mm": ["generate", "--model", "mm", "--config", path, "--out", tmp_path / "o.csv"],
+            "satisficing": ["generate", "--model", "satisficing", "--config", path,
+                            "--out", tmp_path / "o.csv"],
+            "crra-table": ["crra-table", "--lotteries", path],
+            "estimate": ["estimate", "--pi", pi, "--no-outside", "--orderings", path],
+        }[command]
+        assert run(args) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
     @pytest.mark.parametrize(
         "command, value",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import timedchoice as tc
 from timedchoice.errors import ConfigurationError, ValidationError
 
-from conftest import brute_force_best, random_attention_rule
+from conftest import MEMBERSHIP_CASES, brute_force_best, random_attention_rule
 
 
 class TestPublicSurface:
@@ -75,6 +75,36 @@ class TestEnumerateSets:
         assert enum.masks[0] == 0b010  # outside-only singleton first
         assert enum.masks[enum.full_index] == 0b111
         assert enum.d_c == 4
+
+
+def _reduced_bit_masks(menu):
+    """Outside-mode masks built bit by bit from each reduced lattice index."""
+    o = menu.outside_index
+    free = [i for i in range(menu.n) if i != o]
+    return tuple(
+        1 << o | sum(1 << item for b, item in enumerate(free) if r >> b & 1)
+        for r in range(1 << (menu.n - 1))
+    )
+
+
+@pytest.mark.parametrize("menu, outside_mode", MEMBERSHIP_CASES)
+class TestMembershipTable:
+    """The masks and member matrix against the loops they replaced."""
+
+    def test_masks_are_the_reduced_bit_construction(self, menu, outside_mode):
+        enum = tc.enumerate_sets(menu, outside_mode=outside_mode)
+        want = _reduced_bit_masks(menu) if outside_mode else tuple(range(1, 1 << menu.n))
+        assert enum.masks == want
+
+    def test_member_matrix_is_the_per_bit_test(self, menu, outside_mode):
+        enum = tc.enumerate_sets(menu, outside_mode=outside_mode)
+        member = enum.member_matrix()
+        assert member.dtype == bool
+        np.testing.assert_array_equal(
+            member, [[bool(m >> i & 1) for i in range(menu.n)] for m in enum.masks]
+        )
+        with pytest.raises(ValueError):
+            member[0, 0] = True
 
 
 class TestBestIn:

@@ -29,6 +29,13 @@ class TestPiCsv:
         loaded, _ = dataio.read_pi_csv(path)
         np.testing.assert_array_equal(loaded.pi, values)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "pi.csv"
+        path.write_text("period,a,b\n1,0.5,0.5\n\n2,0.25,0.75\n\n")
+        dataset, _ = dataio.read_pi_csv(path)
+        np.testing.assert_array_equal(dataset.pi, [[0.5, 0.5], [0.25, 0.75]])
+        assert dataset.period_labels == ("1", "2")
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "pi.csv"
         path.write_text("wrong,a,b\n1,0.5,0.5\n")
@@ -100,6 +107,18 @@ class TestJsonDocuments:
         header = path.read_text().splitlines()[0]
         assert header.startswith("period,pref0|a,")
         assert header.count("|") == rule.u.shape[1]
+
+    @pytest.mark.parametrize("outside_mode", [False, True])
+    def test_rule_csv_header_names_each_set_by_its_bits(self, tmp_path, outside_mode):
+        menu = tc.Menu(items=("a", "o", "b", "c"), outside_index=1)
+        rule = tc.gen_topn(menu, 2, ("o", "c", "a", "b"), d_pref=2, outside_mode=outside_mode)
+        path = tmp_path / "rule.csv"
+        dataio.write_rule_csv(path, rule, menu)
+        want = [
+            f"pref{i}|" + "+".join(menu.items[b] for b in range(4) if mask >> b & 1)
+            for i in range(2) for mask in rule.set_index.masks
+        ]
+        assert path.read_text().splitlines()[0].split(",") == ["period", *want]
 
 
 class TestBundledData:

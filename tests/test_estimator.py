@@ -150,6 +150,14 @@ class TestEstimate:
         assert result.best_distance < 1e-10
         assert np.abs(result.best_p.p - p_star.p).max() < 1e-4
 
+    def test_summary_counts_injected_rules(self, recovery_setup, menu3, orderings3):
+        _, rule, _, pi = recovery_setup
+        config = tc.SamplerConfig(d_t=4, seed=1, outside_mode=False)
+        result = tc.estimate(pi, menu3, orderings3, 5, config, extra_rules=(rule,))
+        assert result.summary().splitlines()[:2] == [
+            "simulated rules : 5 (+1 injected)", "best draw       : #5",
+        ]
+
     def test_injected_rules_straddle_chunks(self, recovery_setup, menu3, orderings3, monkeypatch):
         transform, rule, _, pi = recovery_setup
         rng = np.random.default_rng(6)

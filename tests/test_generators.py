@@ -41,6 +41,28 @@ class TestTopN:
             rule = tc.gen_topn(menu, d_t, order)
             assert tc.check_time_monotonicity(rule, tol=1e-12).passed
 
+    @pytest.mark.parametrize("outside_mode", [False, True])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equals_the_prefix_loop(self, n, outside_mode):
+        """Past the menu size, and for several types, each period holds its prefix mask."""
+        menu = tc.Menu(items=tuple("abcdefg"[:n]), outside_index=n // 2)
+        order = [int(i) for i in np.random.default_rng(n).permutation(n)]
+        if outside_mode:
+            order.remove(n // 2)
+            order.insert(0, n // 2)
+        enum = tc.enumerate_sets(menu, outside_mode=outside_mode)
+        for d_t in (1, 2, n, n + 3):
+            for d_pref in (1, 3):
+                want = np.zeros((d_t, d_pref * enum.d_c))
+                for t in range(d_t):
+                    mask = 0
+                    for item in order[: min(t + 1, n)]:
+                        mask |= 1 << item
+                    for i in range(d_pref):
+                        want[t, i * enum.d_c + enum.index_of(mask)] = 1.0
+                rule = tc.gen_topn(menu, d_t, order, d_pref=d_pref, outside_mode=outside_mode)
+                np.testing.assert_array_equal(rule.u, want)
+
     def test_invalid_search_order(self, menu3):
         with pytest.raises(ValidationError):
             tc.gen_topn(menu3, 2, ("a", "a", "b"))

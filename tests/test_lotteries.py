@@ -26,6 +26,12 @@ class TestLottery:
         with pytest.raises(ValidationError):
             tc.Lottery("bad", ((-1, 1.0),))
 
+    def test_outcomes_are_python_float_pairs(self):
+        """Whatever numbers come in, ``utility_key`` sums over Python floats."""
+        lottery = tc.Lottery("l", [[50, np.float32(0.5)], np.array([0, 0.5])])
+        assert lottery.outcomes == ((50.0, 0.5), (0.0, 0.5))
+        assert {type(v) for pair in lottery.outcomes for v in pair} == {float}
+
     def test_experiment_moments(self, lots):
         by_label = {l.label: l for l in lots}
         assert by_label["l1"].expectation == pytest.approx(25.0)

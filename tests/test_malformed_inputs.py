@@ -12,6 +12,7 @@ import pytest
 
 import timedchoice as tc
 from timedchoice.errors import ConfigurationError, ValidationError
+from timedchoice import generators
 from timedchoice.generators import diffusion_schedule
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -19,6 +20,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 NAN, INF = float("nan"), float("inf")
 MENU3 = tc.Menu(items=("a", "b", "c"))
 ENUM3 = tc.enumerate_sets(MENU3)
+MENU3_OUT = tc.Menu(items=("a", "b", "o"), outside_index=2)
 PI3 = np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3], [0.4, 0.4, 0.2]])
 
 
@@ -100,6 +102,12 @@ SITES = [
     ("FixedThreshold.value", tc.FixedThreshold, [NAN], ValidationError),
     # Menu labels: a list or tuple of strings; tuple("abc") made three items.
     ("Menu.items", lambda x: tc.Menu(items=x), ["abc", 5, None, ["a", 1]], ValidationError),
+    # Lottery outcomes: (payoff, probability) pairs of numbers, never strings or bools.
+    ("Lottery outcomes", lambda x: tc.Lottery("l", x),
+     [(("50", 0.5), (0, 0.5)), ((True, 0.5), (0, 0.5)), ((50, 0.5, 1),), ((50,),), 5,
+      ((None, 1.0),), ()],
+     ValidationError),
+    ("Lottery.label", lambda x: tc.Lottery(x, ((50, 1.0),)), [5, None, ("a",)], ValidationError),
     # Seeds: what SeedSequence takes, without bools.
     ("SamplerConfig.seed", lambda x: tc.SamplerConfig(d_t=2, seed=x), SEEDS, ConfigurationError),
     ("TestConfig.seed", lambda x: tc.TestConfig(seed=x), SEEDS, ConfigurationError),
@@ -189,6 +197,126 @@ def test_bool_in_a_list_raises_typed_error(build, value, error):
 def test_a_valid_seed_passes_unchanged(seed):
     assert tc.SamplerConfig(d_t=2, seed=seed).seed is seed
     assert tc.TestConfig(seed=seed).seed is seed
+
+
+def _ordering(*rank):
+    return tc.PreferenceOrdering(rank)
+
+
+def _dataset(n, d_t=2, counts=None):
+    return tc.ChoiceDataset(pi=np.full((d_t, n), 1.0 / n), period_counts=counts)
+
+
+# (site, call, error class, text of the message): inputs whose shape or size
+# does not fit the rest of the call.
+CHECKS = [
+    # core
+    ("SetEnumeration.index_of", lambda: tc.enumerate_sets(MENU3_OUT, True).index_of(0b001),
+     ValidationError, "not admissible"),
+    ("OrderingSet empty", lambda: tc.OrderingSet(()), ValidationError, "at least one"),
+    ("OrderingSet sizes", lambda: tc.OrderingSet((_ordering(0, 1), _ordering(0, 1, 2))),
+     ValidationError, "same number of items"),
+    ("all_orderings cap", lambda: tc.all_orderings(8), ConfigurationError, "capped at 7"),
+    ("best_in unranked member",
+     lambda: tc.best_in(_ordering(0, 1), tc.ConsiderationSet(0b100)), ValidationError,
+     "no member ranked"),
+    ("ChoiceDataset 1-D", lambda: tc.ChoiceDataset(pi=[0.5, 0.5]), ValidationError,
+     "(periods, items) matrix"),
+    ("ChoiceDataset counts", lambda: tc.ChoiceDataset(pi=PI3, period_counts=(50, 50)),
+     ValidationError, "one period count per row"),
+    ("ChoiceDataset labels", lambda: tc.ChoiceDataset(pi=PI3, period_labels=("x",)),
+     ValidationError, "one period label per row"),
+    ("AttentionRule 1-D",
+     lambda: tc.AttentionRule(u=np.full(ENUM3.d_c, 1 / ENUM3.d_c), set_index=ENUM3),
+     ValidationError, "2-D"),
+    ("AttentionRule columns",
+     lambda: tc.AttentionRule(u=np.full((1, 6), 1 / 6), set_index=ENUM3), ValidationError,
+     "expected d_pref*d_c = 7"),
+    ("PreferenceDistribution 2-D", lambda: tc.PreferenceDistribution([[0.5, 0.5]]),
+     ValidationError, "vector"),
+    # generators
+    ("GammaSchedule 1-D", lambda: tc.GammaSchedule([0.2, 0.3]), ValidationError, "shape"),
+    ("gen_topn outside not first",
+     lambda: tc.gen_topn(MENU3_OUT, 2, ("a", "o", "b"), outside_mode=True),
+     ConfigurationError, "searched first"),
+    ("gen_mm width", lambda: tc.gen_mm(MENU3, tc.GammaSchedule([[0.2, 0.3]])),
+     ValidationError, "width"),
+    ("gen_mm no outside item",
+     lambda: tc.gen_mm(MENU3, tc.GammaSchedule([[0.2, 0.3, 1.0]]), outside_mode=True),
+     ConfigurationError, "outside option"),
+    ("SearchOrderDistribution lengths",
+     lambda: tc.SearchOrderDistribution(((0, 1),), (0.5, 0.5)), ValidationError,
+     "one probability per search order"),
+    ("SearchOrderDistribution permutation",
+     lambda: tc.SearchOrderDistribution(((0, 1), (0, 0)), (0.5, 0.5)), ValidationError,
+     "permutation"),
+    ("gen_satisficing utilities",
+     lambda: tc.gen_satisficing(MENU3, [3.0, 2.0], [tc.FixedThreshold(1.5)],
+                                tc.SearchOrderDistribution.uniform(3), 10, seed=0),
+     ValidationError, "one utility per menu item"),
+    ("diffusion_schedule thresholds shape",
+     lambda: diffusion_schedule(MENU3, [0.5, 0.5, 0.5], 1.0, [[1.0, 1.0]], 2),
+     ConfigurationError, "shape (2, 3)"),
+    ("diffusion_schedule no outside item",
+     lambda: diffusion_schedule(MENU3, [0.5, 0.5], 1.0, [[1.0, 1.0]], 1, outside_mode=True),
+     ConfigurationError, "outside option"),
+    ("diffusion_schedule outside drifts",
+     lambda: diffusion_schedule(MENU3_OUT, [0.5, 0.5, 0.5], 1.0, [[1.0, 1.0, 1.0]], 1,
+                                outside_mode=True),
+     ConfigurationError, "non-outside items"),
+    ("diffusion_schedule drifts",
+     lambda: diffusion_schedule(MENU3, [0.5, 0.5], 1.0, [[1.0, 1.0]], 1), ConfigurationError,
+     "one drift per menu item"),
+    # transform
+    ("build_choice_transform orderings",
+     lambda: tc.build_choice_transform(MENU3, ENUM3, tc.all_orderings(2)), ValidationError,
+     "menu size"),
+    ("build_choice_transform sets",
+     lambda: tc.build_choice_transform(MENU3_OUT, ENUM3, tc.all_orderings(3)),
+     ValidationError, "different menu"),
+    ("predict_choices p",
+     lambda: tc.predict_choices(
+         tc.gen_topn(MENU3, 2, ("a", "b", "c")),
+         tc.build_choice_transform(MENU3, ENUM3, tc.OrderingSet((_ordering(0, 1, 2),))),
+         tc.PreferenceDistribution.uniform(2)),
+     ValidationError, "preference vector length"),
+    # survival
+    ("lower_contour_sum width", lambda: tc.lower_contour_sum(_dataset(3), _ordering(0, 1), 0, 0),
+     ValidationError, "dataset width"),
+    ("rejection_test width", lambda: tc.rejection_test(_dataset(3), _ordering(0, 1)),
+     ValidationError, "dataset width"),
+    ("survivor_search width", lambda: tc.survivor_search(_dataset(2), MENU3), ValidationError,
+     "menu size"),
+    ("survivor_search cap",
+     lambda: tc.survivor_search(_dataset(9), tc.Menu(items=tuple("abcdefghi"))),
+     ValidationError, "capped at 8"),
+    # clustering, hyptest
+    ("cluster_times empty", lambda: tc.cluster_times([], MENU3, 2), ValidationError,
+     "no observations"),
+    ("variance_weights zero count", lambda: tc.variance_weights(_dataset(3, 2, (50, 0))),
+     ValidationError, "must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [pytest.param(call, error, message, id=site) for site, call, error, message in CHECKS],
+)
+def test_input_that_does_not_fit_raises_typed_error(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert message in str(exc.value)
+
+
+def test_diffusion_schedule_error_not_from_rising_thresholds_propagates(monkeypatch):
+    """Only rising thresholds explain a bad schedule; any other error passes unchanged."""
+
+    def refuse(gamma):
+        raise ValidationError("refused")
+
+    monkeypatch.setattr(generators, "GammaSchedule", refuse)
+    with pytest.raises(ValidationError, match="^refused$"):
+        _diffusion()
 
 
 @pytest.mark.parametrize(

@@ -38,3 +38,22 @@ def test_loc_prints_each_module_and_the_total(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["module", "lines", "code"], ["a.py", "2", "1"], ["b.py", "4", "2"],
                     ["total", "6", "3"]]
+
+
+def test_untested_lines_names_the_branch_that_never_ran(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f(x):\n"
+        "    if x:\n"
+        "        return 1\n"
+        "    return 2\n"
+    )
+    tool = _load("untested_lines")
+
+    def run():
+        spec = importlib.util.spec_from_file_location("synthetic_mod", tmp_path / "mod.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.f(True) == 1
+
+    assert tool.untested(tmp_path, run) == {"mod.py": [4]}
+    assert tool._ranges([3, 4, 5, 9, 11, 12]) == "3-5, 9, 11-12"

@@ -7,7 +7,7 @@ import timedchoice as tc
 from timedchoice.errors import ValidationError
 from timedchoice.transform import design_matrix_batch
 
-from conftest import brute_force_best, random_attention_rule
+from conftest import MEMBERSHIP_CASES, brute_force_best, random_attention_rule
 
 
 @pytest.fixture
@@ -55,6 +55,18 @@ class TestChoiceTransform:
                 row = i * enum.d_c + j
                 assert transform.a[row, best * orderings.d_pref + i] == 1.0
                 assert transform.best[i, j] == best
+
+    @pytest.mark.parametrize("menu, outside_mode", MEMBERSHIP_CASES)
+    def test_best_is_best_in_of_each_set(self, menu, outside_mode):
+        rng = np.random.default_rng(menu.n)
+        perms = sorted({tuple(rng.permutation(menu.n)) for _ in range(8)})
+        orderings = tc.OrderingSet(tuple(tc.PreferenceOrdering(p) for p in perms))
+        enum = tc.enumerate_sets(menu, outside_mode=outside_mode)
+        best = tc.build_choice_transform(menu, enum, orderings).best
+        assert best.dtype == np.int64 and not best.flags.writeable
+        np.testing.assert_array_equal(
+            best, [[tc.best_in(o, s) for s in enum.sets()] for o in orderings]
+        )
 
     def test_build_allocates_no_dense_matrix(self):
         # The dense form for 6 items and all 720 orderings is 45,360 x 4,320
