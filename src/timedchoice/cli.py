@@ -190,7 +190,9 @@ def _cmd_generate(args) -> int:
         raise ValidationError(f"outside_mode must be true or false, got {outside_mode!r}")
 
     if args.model == "satisficing":
-        thresholds = [_threshold_from_json(d) for d in cfg["thresholds"]]
+        thresholds = [
+            _threshold_from_json(d) for d in dataio._check_list(cfg["thresholds"], "thresholds")
+        ]
         search = cfg.get("search_orders", "uniform")
         if search == "uniform":
             search_dist = SearchOrderDistribution.uniform(menu.n)

@@ -159,8 +159,8 @@ def orderings_to_json(orderings: OrderingSet, menu: Menu) -> dict:
 def orderings_from_json(doc: dict, menu: Menu) -> OrderingSet:
     return OrderingSet(
         tuple(
-            PreferenceOrdering.from_labels(menu, labels)
-            for labels in doc["orderings"]
+            PreferenceOrdering.from_labels(menu, _check_list(labels, "an ordering"))
+            for labels in _check_list(doc["orderings"], "orderings")
         )
     )
 
@@ -176,7 +176,7 @@ def lotteries_to_json(lotteries) -> dict:
 
 
 def lotteries_from_json(doc: dict) -> tuple[Lottery, ...]:
-    entries = (_check_object(entry, "a lottery") for entry in doc["lotteries"])
+    entries = (_check_object(e, "a lottery") for e in _check_list(doc["lotteries"], "lotteries"))
     return tuple(Lottery(entry["label"], entry["outcomes"]) for entry in entries)
 
 
@@ -241,6 +241,13 @@ def _check_object(value, what: str) -> dict:
     """``value`` if it is a JSON object, else a ValidationError naming ``what``."""
     if not isinstance(value, dict):
         raise ValidationError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _check_list(value, what: str) -> list:
+    """``value`` if it is a JSON list, else a ValidationError naming ``what``."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a JSON list, got {type(value).__name__}")
     return value
 
 

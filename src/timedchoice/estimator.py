@@ -32,9 +32,7 @@ from .errors import SolverError, ValidationError
 from .sampler import (
     SamplerConfig,
     _Workspace,
-    _child_states,
-    _draw_child,
-    _draw_rules,
+    _draw_children,
     _seed_sequence,
     _slab_rules,
 )
@@ -145,7 +143,11 @@ def _score_pool(
     :func:`~timedchoice.sampler._slab_rules`) that become design rows as soon
     as they are drawn, and each slab overwrites the last.  The winner's rows
     are copied if its slab is still held when its chunk is scored, and
-    otherwise drawn again from its child once the pool is done.
+    otherwise drawn again, as a one-rule slice of the pool, once the pool is
+    done.  Slabs and the re-draw both go through
+    :func:`~timedchoice.sampler._draw_children`, as
+    :func:`~timedchoice.sampler.sample_attention_rules` does, so each rule
+    is the one that function draws at its index.
 
     Raises:
         ValidationError: ``k`` is not an integer or is below one, or the
@@ -170,10 +172,9 @@ def _score_pool(
         stop = min(start + CHUNK, n)
         ms = design[: stop - start]
         drawn = max(0, min(stop, k) - start)
-        states = _child_states(root, root.n_children_spawned + start, drawn)
         for a in range(0, drawn, len(slab)):
             m = min(len(slab), drawn - a)
-            _draw_rules(enum, d_pref, sampler_config, states[a : a + m], slab[:m], workspace)
+            _draw_children(enum, d_pref, sampler_config, root, start + a, slab[:m], workspace)
             design_matrix_batch(slab[:m], transform, out=ms[a : a + m])
             held = start + a
         if drawn < len(ms):
@@ -188,14 +189,15 @@ def _score_pool(
         if obj[j] < best_obj:
             best_obj, best_index, best_p = obj[j], start + j, p[j]
             in_slab = held <= best_index < min(held + len(slab), k)
-            best_blocks = slab[best_index - held].copy() if in_slab else None
+            best_blocks = slab[best_index - held][None].copy() if in_slab else None
     if best_index < 0:
         raise SolverError("every simulated rule failed to solve")
     if best_index >= k:
         best_rule = extra_rules[best_index - k]
     else:
         if best_blocks is None:
-            best_blocks = _draw_child(enum, d_pref, sampler_config, root, best_index, workspace)
+            best_blocks = np.empty((1, *slab.shape[1:]))
+            _draw_children(enum, d_pref, sampler_config, root, best_index, best_blocks, workspace)
         best_rule = AttentionRule(u=best_blocks.reshape(d_t, -1), set_index=enum, d_pref=d_pref)
     return _Pool(objectives, best_index, best_p, best_rule)
 

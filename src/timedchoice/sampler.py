@@ -161,10 +161,9 @@ def initial_row_outside(menu: Menu) -> NDArray[np.float64]:
 
 
 @lru_cache(maxsize=64)
-def _superset_matrix(enum_key: tuple[int, bool]) -> NDArray:
+def _superset_matrix(enum: SetEnumeration) -> NDArray:
     """Boolean (d_c, d_c) matrix: [j, s] = enumerated set s strictly contains j."""
-    n_bits, outside = enum_key
-    masks = np.arange(0 if outside else 1, 1 << n_bits)
+    masks = np.array(enum.masks)
     out = (masks[None] & masks[:, None]) == masks[:, None]
     np.fill_diagonal(out, False)
     out.setflags(write=False)
@@ -214,7 +213,7 @@ def _superset_transfer(sub, enum, runs, workspace):
     piece = workspace.piece
     weights, w_rows, targets_rows, mask_rows = workspace.buffers()
     shares = np.empty((q, d_c))
-    supersets = _superset_matrix((enum.n_bits, enum.outside_mode))
+    supersets = _superset_matrix(enum)
     kth = d_c - FALLBACK_MAX_TARGETS
     pairs, totals, kept, kept_w = [], [], [], []
     n_pairs = 0
@@ -535,18 +534,20 @@ def _draw_rules(enum, d_pref, config, states, out, workspace):
             rules[:, t] = rows = _step_rows(rows, enum, rngs, workspace)
 
 
-def _draw_child(enum, d_pref, config, root, i, workspace) -> NDArray[np.float64]:
-    """Rule ``i`` of the pool drawn on child streams of ``root``, as ``(d_t, d_pref, d_c)``.
+def _draw_children(enum, d_pref, config, root, first, out, workspace):
+    """Draw pool rules ``first, ..., first + len(out) - 1`` of ``root`` into ``out``.
 
-    The same bytes as ``[i]`` of :func:`sample_attention_rules` for a seed
-    whose :class:`~numpy.random.SeedSequence` is ``root``: child
-    ``root.n_children_spawned + i``.  The estimator re-draws its winner with
-    this once the winner's slab is gone.
+    Pool rule ``i`` runs on child ``root.n_children_spawned + i`` of ``root``
+    (a :class:`~numpy.random.SeedSequence`), the child ``root.spawn(i +
+    1)[-1]`` would give, so any slice of a pool draws the same bytes as the
+    whole pool.  Seeds are hashed a slab at a time (see :func:`_slab_rules`),
+    so the hash's temporaries (about 90 bytes a rule) do not grow with
+    ``out``.  ``workspace`` is as in :func:`_draw_rules`.
     """
-    blocks = np.empty((1, config.d_t, d_pref, enum.d_c))
-    states = _child_states(root, root.n_children_spawned + i, 1)
-    _draw_rules(enum, d_pref, config, states, blocks, workspace)
-    return blocks[0]
+    piece = _slab_rules(config.d_t, d_pref, enum.d_c)
+    for a in range(0, len(out), piece):
+        states = _child_states(root, root.n_children_spawned + first + a, min(piece, len(out) - a))
+        _draw_rules(enum, d_pref, config, states, out[a : a + len(states)], workspace)
 
 
 def sample_attention_rule(
@@ -576,20 +577,16 @@ def sample_attention_rules(
     ``i`` of ``config.seed`` (``root.spawn(count)[i]`` for ``root`` the seed's
     :class:`~numpy.random.SeedSequence`, which is left unspawned).  It depends
     only on ``config.seed`` and ``i``, so a larger ``count`` extends the pool.
+    The pool is drawn by :func:`_draw_children`, which the estimator's pools
+    also draw through, a slab at a time, so both give the same rules.
 
     Raises:
         ValidationError: ``count`` is not an integer or is negative.
     """
     count = _check_count(count, "count")
     enum = enumerate_sets(menu, outside_mode=config.outside_mode)
-    pool = np.empty((count, config.d_t, orderings.d_pref, enum.d_c))
-    root = _seed_sequence(config.seed)
     d_pref = orderings.d_pref
+    pool = np.empty((count, config.d_t, d_pref, enum.d_c))
     workspace = _Workspace(d_pref, enum.d_c, count)
-    # Seeds are hashed a slab at a time, so the hash's temporaries (about 90
-    # bytes a rule) do not grow with the pool.
-    piece = _slab_rules(config.d_t, d_pref, enum.d_c)
-    for start in range(0, count, piece):
-        states = _child_states(root, root.n_children_spawned + start, min(piece, count - start))
-        _draw_rules(enum, d_pref, config, states, pool[start : start + len(states)], workspace)
+    _draw_children(enum, d_pref, config, _seed_sequence(config.seed), 0, pool, workspace)
     return pool

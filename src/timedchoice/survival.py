@@ -118,28 +118,26 @@ def rejection_test(
     cols = list(ordering.rank)
     tail_sums = np.cumsum(pi.pi[:, cols][:, ::-1], axis=1)[:, ::-1]
     for k in range(1, ordering.n):  # position 0 is the full row, always 1
-        sums = tail_sums[:, k]
-        if (rise := _first_rise(sums, tol)) is not None:
-            t, tp = rise
-            return RejectionWitness(
-                position=k,
-                tail=tuple(ordering.rank[k:]),
-                t=t,
-                t_prime=tp,
-                sum_early=float(sums[t]),
-                sum_late=float(sums[tp]),
-                item=ordering.rank[k],
-            )
+        witness = _first_rise(tail_sums[:, k], tol, k, ordering.rank[k:], ordering.rank[k])
+        if witness is not None:
+            return witness
     return None
 
 
-def _first_rise(tail_sums: np.ndarray, tol: float) -> tuple[int, int] | None:
-    """The first period pair over which a contour sum rises by more than ``tol``."""
-    d_t = tail_sums.shape[0]
+def _first_rise(sums, tol, position, tail, item=None) -> RejectionWitness | None:
+    """The witness of the first period pair over which ``sums`` rises by more than ``tol``.
+
+    ``sums`` is the per-period choice mass of the contour ``tail`` (any
+    sequence of items, made a tuple only for a witness); ``position`` and
+    ``item`` are as in :class:`RejectionWitness`.
+    """
+    d_t = sums.shape[0]
     for t in range(d_t - 1):
         for tp in range(t + 1, d_t):
-            if tail_sums[tp] > tail_sums[t] + tol:
-                return t, tp
+            if sums[tp] > sums[t] + tol:
+                return RejectionWitness(
+                    position, tuple(tail), t, tp, float(sums[t]), float(sums[tp]), item
+                )
     return None
 
 
@@ -204,21 +202,8 @@ def survivor_search(
                     )
                     continue
             new_sums = tail_sums - pi.pi[:, x]
-            if (rise := _first_rise(new_sums, tol)) is not None:
-                t, tp = rise
-                rejected.append(
-                    RejectedPrefix(
-                        prefix=tuple(prefix + [x]),
-                        witness=RejectionWitness(
-                            position=len(prefix) + 1,
-                            tail=tuple(rest),
-                            t=t,
-                            t_prime=tp,
-                            sum_early=float(new_sums[t]),
-                            sum_late=float(new_sums[tp]),
-                        ),
-                    )
-                )
+            if (witness := _first_rise(new_sums, tol, len(prefix) + 1, rest)) is not None:
+                rejected.append(RejectedPrefix(prefix=tuple(prefix + [x]), witness=witness))
                 continue
             extend(prefix + [x], rest, new_sums)
 

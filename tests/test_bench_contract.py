@@ -47,10 +47,10 @@ def test_pool_draw_is_traced_once_per_chunk(monkeypatch):
     tracer = _tracing().Tracer()
 
     def count_rules(fn, args, kwargs, result):
-        return {"rules": len(args[3])}  # args: enum, d_pref, config, seeds, out
+        return {"rules": len(args[5])}  # args: enum, d_pref, config, root, first, out
 
-    counted = tracer.wrap("sampler.draw", estimator._draw_rules, count_rules)
-    monkeypatch.setattr(estimator, "_draw_rules", counted)
+    counted = tracer.wrap("sampler.draw", estimator._draw_children, count_rules)
+    monkeypatch.setattr(estimator, "_draw_children", counted)
     monkeypatch.setattr(estimator, "CHUNK", 4)
     tc.estimate(pi, menu, orderings, 10, config)
     spans = [s for s in tracer.spans if s.name == "sampler.draw"]
@@ -59,7 +59,7 @@ def test_pool_draw_is_traced_once_per_chunk(monkeypatch):
 
 
 def test_pool_draw_is_traced_once_per_slab(monkeypatch):
-    """Chunks of 4 rules drawn in slabs of 2: one span per slab, none for the re-draw."""
+    """Chunks of 4 rules drawn in slabs of 2: one span per slab, and one for the re-draw."""
     menu = tc.Menu(items=("a", "b", "c"))
     orderings = tc.all_orderings(3)
     # 6 types over 7 sets: two rules' fallback cells make blocks and slabs of 2.
@@ -73,21 +73,19 @@ def test_pool_draw_is_traced_once_per_slab(monkeypatch):
     tracer = _tracing().Tracer()
 
     def count_rules(fn, args, kwargs, result):
-        return {"rules": len(args[3])}  # args: enum, d_pref, config, seeds, out
+        # args: enum, d_pref, config, root, first, out
+        return {"first": args[4], "rules": len(args[5])}
 
-    counted = tracer.wrap("sampler.draw", estimator._draw_rules, count_rules)
-    monkeypatch.setattr(estimator, "_draw_rules", counted)
-    redrawn, real = [], estimator._draw_child
-
-    def recorded(enum, d_pref, config, root, i, workspace):
-        redrawn.append(i)
-        return real(enum, d_pref, config, root, i, workspace)
-
-    monkeypatch.setattr(estimator, "_draw_child", recorded)
+    counted = tracer.wrap("sampler.draw", estimator._draw_children, count_rules)
+    monkeypatch.setattr(estimator, "_draw_children", counted)
     monkeypatch.setattr(estimator, "CHUNK", 4)
     result = tc.estimate(pi, menu, orderings, 10, config)
-    # Rule 4 is in slab [4, 6) of chunk [4, 8): slab [6, 8) overwrote it.
-    assert result.best_index == 4 and redrawn == [4]
+    # Rule 4 is in slab [4, 6) of chunk [4, 8): slab [6, 8) overwrote it, so
+    # it is drawn again as a 1-rule span after the five slabs.
+    assert result.best_index == 4
     np.testing.assert_array_equal(result.best_rule.blocks(), truth)
     spans = [s for s in tracer.spans if s.name == "sampler.draw"]
-    assert [s.attrs["rules"] for s in spans] == [2, 2, 2, 2, 2]
+    assert [(s.attrs["first"], s.attrs["rules"]) for s in spans] == [
+        (0, 2), (2, 2), (4, 2), (6, 2), (8, 2), (4, 1)
+    ]
+    assert all(s.duration > 0 for s in spans)

@@ -573,6 +573,13 @@ class TestExitCodes:
              "lottery outcomes must be numbers, got [[True, 0.5], [0, 0.5]]"),
             ("crra-table", {"lotteries": [{"label": 5, "outcomes": [[50, 1.0]]}]},
              "a lottery label must be a string, got 5"),
+            # A list-valued key holding a number ended in "'int' object is not
+            # iterable"; a string ordering was read as its characters.
+            ("crra-table", {"lotteries": 5}, "lotteries must be a JSON list, got int"),
+            ("satisficing", {"thresholds": 5}, "thresholds must be a JSON list, got int"),
+            ("estimate", {"orderings": 5}, "orderings must be a JSON list, got int"),
+            ("estimate", {"orderings": [5]}, "an ordering must be a JSON list, got int"),
+            ("estimate", {"orderings": ["ab"]}, "an ordering must be a JSON list, got str"),
         ],
     )
     def test_json_of_the_wrong_shape_is_exit_one(self, tmp_path, capsys, command, doc, message):

@@ -318,16 +318,26 @@ class TestEstimate:
             )
 
 
-def _record_redraws(monkeypatch):
-    """Wrap the estimator's winner re-draw; returns the list of re-drawn indices."""
-    redrawn, real = [], est._draw_child
+def _record_draws(monkeypatch):
+    """Wrap the estimator's pool draw; returns the list of ``(first, rules)`` drawn per call."""
+    calls, real = [], est._draw_children
 
-    def recorded(enum, d_pref, config, root, i, workspace=None):
-        redrawn.append(i)
-        return real(enum, d_pref, config, root, i, workspace)
+    def recorded(enum, d_pref, config, root, first, out, workspace):
+        calls.append((first, len(out)))
+        return real(enum, d_pref, config, root, first, out, workspace)
 
-    monkeypatch.setattr(est, "_draw_child", recorded)
-    return redrawn
+    monkeypatch.setattr(est, "_draw_children", recorded)
+    return calls
+
+
+def _slabs(k, slab):
+    """``(first, rules)`` of each slab of a ``k``-rule pool drawn in chunks of ``est.CHUNK``."""
+    return [
+        (a, min(slab, stop - a))
+        for start in range(0, k, est.CHUNK)
+        for stop in [min(start + est.CHUNK, k)]
+        for a in range(start, stop, slab)
+    ]
 
 
 class TestSlabs:
@@ -362,10 +372,11 @@ class TestSlabs:
         )
         pi = tc.predict_choices(truth, transform, tc.PreferenceDistribution.uniform(6))
         monkeypatch.setattr(est, "CHUNK", chunk)
-        calls = _record_redraws(monkeypatch)
+        calls = _record_draws(monkeypatch)
         result = tc.estimate(pi, menu3, orderings3, 12, config)
         assert result.best_index == winner
-        assert calls == redrawn
+        # One call per slab, then a one-rule call for a re-drawn winner.
+        assert calls == _slabs(12, 2) + [(i, 1) for i in redrawn]
         np.testing.assert_array_equal(result.best_rule.blocks(), pool[winner])
 
     @pytest.mark.parametrize("seed_kind", ["int", "spawned", "none"])
@@ -390,7 +401,7 @@ class TestSlabs:
             return roots[-1]
 
         monkeypatch.setattr(est, "_seed_sequence", recorded)
-        calls = _record_redraws(monkeypatch)
+        calls = _record_draws(monkeypatch)
         pi = tc.ChoiceDataset(pi=np.random.default_rng(9).dirichlet(np.ones(3), size=3))
         config = tc.SamplerConfig(d_t=3, seed=seed, outside_mode=False)
         result = tc.estimate(pi, menu3, orderings3, 40, config)
@@ -398,31 +409,30 @@ class TestSlabs:
             menu3, orderings3, replace(config, seed=roots[0]), 40
         )
         np.testing.assert_array_equal(result.best_rule.blocks(), pool[result.best_index])
-        # One slab holds the whole 40-rule pool unless the budget is shrunk.
-        assert calls == ([result.best_index] if small_slabs and result.best_index < 38 else [])
+        # One slab holds the whole 40-rule pool unless the budget shrinks it
+        # to slabs of 4, the last of them [36, 40).
+        slab = min(40, sampler._slab_rules(3, 6, 7))
+        assert slab == (4 if small_slabs else 40)
+        redrawn = [(result.best_index, 1)] if result.best_index < 40 - slab else []
+        assert calls == _slabs(40, slab) + redrawn
 
     def test_montecarlo_pool_is_one_slab(self, menu3, orderings3, monkeypatch):
         """Criterion 08's pool of 1,000: one draw call, one design call, no re-draw."""
-        draws, designs = [], []
-        real_draw, real_design = est._draw_rules, est.design_matrix_batch
-
-        def draw(*args, **kwargs):
-            draws.append(len(args[3]))
-            return real_draw(*args, **kwargs)
+        designs, real_design = [], est.design_matrix_batch
 
         def design(blocks, *args, **kwargs):
             designs.append(len(blocks))
             return real_design(blocks, *args, **kwargs)
 
-        monkeypatch.setattr(est, "_draw_rules", draw)
         monkeypatch.setattr(est, "design_matrix_batch", design)
-        calls = _record_redraws(monkeypatch)
+        draws = _record_draws(monkeypatch)
         pi = tc.ChoiceDataset(
             pi=np.random.default_rng(3).dirichlet(np.ones(3), size=3), period_counts=(500,) * 3
         )
         config = tc.SamplerConfig(d_t=3, seed=0, outside_mode=False)
         tc.fit_test_rule(pi, menu3, orderings3, 1000, config, tc.TestConfig(seed=1))
-        assert draws == [1000] and designs == [1000] and calls == []
+        # One draw call and no re-draw.
+        assert draws == [(0, 1000)] and designs == [1000]
 
     def test_pool_memory_does_not_hold_raw_rules(self):
         """8 items in outside mode, K = 256: the raw rows alone are 9.0 MiB.

@@ -307,7 +307,7 @@ class TestFitTestRule:
         def no_draws(*args, **kwargs):
             raise AssertionError("a rule pool was drawn")
 
-        monkeypatch.setattr(est, "_draw_rules", no_draws)
+        monkeypatch.setattr(est, "_draw_children", no_draws)
         with pytest.raises(ConfigurationError) as fit_error:
             tc.fit_test_rule(
                 pi, menu3, orderings3, 50,

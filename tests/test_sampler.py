@@ -14,7 +14,7 @@ from timedchoice.sampler import (
     GAMMA_FLOOR,
     MAX_DIRECTION_RETRIES,
     _child_states,
-    _draw_child,
+    _draw_children,
     _draw_rules,
     _hashed_seed,
     _initial_states,
@@ -23,6 +23,8 @@ from timedchoice.sampler import (
     _superset_matrix,
     _Workspace,
 )
+
+from conftest import MEMBERSHIP_CASES
 
 
 @pytest.fixture
@@ -118,19 +120,40 @@ class TestMaxStep:
         assert np.all(got[:30] == np.inf)
 
 
+def _grid_menu(n_bits, outside):
+    """The menu of ``n_bits`` free bits: with the outside item last, or without one."""
+    items = tuple("abcdefgh"[: n_bits + outside])
+    return pytest.param(
+        tc.Menu(items=items, outside_index=len(items) - 1 if outside else None), outside,
+        id=f"{n_bits}-{outside}",
+    )
+
+
 class TestSupersetMatrix:
-    @pytest.mark.parametrize("outside", [True, False])
-    @pytest.mark.parametrize("n_bits", range(1, 7))
-    def test_matches_the_pairwise_loop(self, n_bits, outside):
-        """[j, s] is set exactly when enumerated set s strictly contains set j."""
+    # The membership menus, and the (n_bits, outside) grid this test was once
+    # keyed by, under its old ids.  One free bit without an outside item
+    # would be a 1-item menu, which no enumeration has.
+    @pytest.mark.parametrize(
+        "menu, outside",
+        MEMBERSHIP_CASES
+        + [_grid_menu(b, o) for b in range(1, 7) for o in (False, True) if b + o > 1],
+    )
+    def test_matches_the_pairwise_loop(self, menu, outside):
+        """[j, s] is set exactly when enumerated set s strictly contains set j.
+
+        The loop reads the reduced lattice index of each set (its free bits),
+        which is what the enumeration's order must match.
+        """
+        enum = tc.enumerate_sets(menu, outside_mode=outside)
         offset = 0 if outside else 1
-        d_c = (1 << n_bits) - offset
+        d_c = (1 << enum.n_bits) - offset
+        assert enum.d_c == d_c
         want = np.zeros((d_c, d_c), dtype=bool)
         for j in range(d_c):
             for s in range(d_c):
                 rj, rs = j + offset, s + offset
                 want[j, s] = rs != rj and (rs & rj) == rj
-        got = _superset_matrix((n_bits, outside))
+        got = _superset_matrix(enum)
         assert got.dtype == bool and not got.flags.writeable
         np.testing.assert_array_equal(got, want)
 
@@ -331,7 +354,7 @@ def _reference_rule(menu, orderings, config):
     d_pref, d_c = orderings.d_pref, enum.d_c
 
     def fallback(sub):
-        sup = _superset_matrix((enum.n_bits, (1 << enum.n_bits) == d_c))
+        sup = _superset_matrix(enum)
         adm = (sub > GAMMA_FLOOR)[:, :, None] & (sub < 1.0 - GAMMA_FLOOR)[:, None, :] & sup
         w = rng.uniform(size=(len(sub), d_c, d_c)) * adm
         if d_c > FALLBACK_MAX_TARGETS:
@@ -436,8 +459,8 @@ class TestLockstepPool:
             alone = _reference_rule(menu, orderings, replace(config, seed=child))
             np.testing.assert_array_equal(rule, alone)
 
-    def test_slabs_and_child_redraws_give_the_pool(self, menu6, orderings6):
-        """Rules drawn a slab at a time, or alone by index, equal the whole pool's."""
+    def test_slabs_and_child_redraws_give_the_pool(self, menu6, orderings6, monkeypatch):
+        """Rules drawn a slab at a time, or as any slice of the pool, equal the whole pool's."""
         enum = tc.enumerate_sets(menu6, outside_mode=True)
         d_pref = orderings6.d_pref
         config = tc.SamplerConfig(d_t=6, seed=0, outside_mode=True)
@@ -454,10 +477,23 @@ class TestLockstepPool:
             got[a : a + m] = slab[:m]
         assert starts == [0, 64, 128]
         np.testing.assert_array_equal(got, pool)
-        for i in (0, 77, 149):
-            np.testing.assert_array_equal(
-                _draw_child(enum, d_pref, config, root, i, workspace), pool[i]
-            )
+        # Slabs of 80 rules: slices that start inside one and end in the next,
+        # and slices longer than one, which _draw_children hashes in pieces.
+        monkeypatch.setattr(sampler, "_BLOCK_CELLS", 16 * 6 * 32 * 32)
+        assert sampler._slab_rules(6, d_pref, enum.d_c) == 80
+        spawned = np.random.SeedSequence(42)
+        spawned.spawn(3)  # pool rule i is child 3 + i
+        children = list(child_seeds(spawned, 150))
+        slices = [(0, 1), (77, 1), (149, 1), (70, 20), (75, 75), (60, 90), (0, 150)]
+        for first, count in slices:
+            want = np.empty((count, 6, d_pref, enum.d_c))
+            _draw_rules(enum, d_pref, config, _seed_states(children[first : first + count]),
+                        want, workspace)
+            for seed, pool_slice in [(root, pool[first : first + count]), (spawned, want)]:
+                out = np.empty_like(pool_slice)
+                _draw_children(enum, d_pref, config, seed, first, out, workspace)
+                np.testing.assert_array_equal(out, pool_slice)
+        assert spawned.n_children_spawned == 3
 
     def test_chunk_draw_memory_is_bounded(self, menu6, orderings6):
         """Temporaries stay per block: no (CHUNK * d_pref, d_c, d_c) array.

@@ -5,7 +5,7 @@ import pytest
 
 import timedchoice as tc
 from timedchoice.errors import ValidationError
-from timedchoice.survival import NeverChosenWitness
+from timedchoice.survival import NeverChosenWitness, RejectionWitness
 
 
 def brute_force_survivors(pi, n, tol=1e-9):
@@ -52,6 +52,9 @@ class TestRejectionTest:
         assert set(witness.tail) == {0, 2}
         assert witness.sum_late == pytest.approx(1.0)
         assert witness.sum_early == pytest.approx(0.0)
+        assert witness == RejectionWitness(
+            position=1, tail=(0, 2), t=0, t_prime=1, sum_early=0.0, sum_late=1.0, item=0
+        )
 
     def test_true_ordering_survives(self, worked_dataset):
         assert tc.rejection_test(worked_dataset, tc.PreferenceOrdering((0, 1, 2))) is None
@@ -105,6 +108,19 @@ class TestSurvivorSearch:
             if isinstance(rp.witness, NeverChosenWitness)
         ]
         assert nc and all(rp.witness.item == 2 for rp in nc)
+
+    def test_contour_rejections_carry_exact_witnesses(self, worked_dataset, menu3):
+        """Each pruned prefix's witness: the unplaced items, their first rise, no item."""
+        report = tc.survivor_search(worked_dataset, menu3, never_chosen_rule=False)
+        assert report.rejected
+        for rp in report.rejected:
+            tail = tuple(i for i in range(3) if i not in rp.prefix)
+            sums = worked_dataset.pi[:, list(tail)].sum(axis=1)
+            assert sums[1] > sums[0]  # two periods: the only pair is (0, 1)
+            assert rp.witness == RejectionWitness(
+                position=len(rp.prefix), tail=tail, t=0, t_prime=1,
+                sum_early=float(sums[0]), sum_late=float(sums[1]),
+            )
 
     def test_constant_frequencies_keep_all_orderings(self, menu3):
         pi = tc.ChoiceDataset(pi=np.tile([0.5, 0.3, 0.2], (3, 1)))
